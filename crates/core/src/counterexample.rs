@@ -7,7 +7,7 @@
 //! evaluated output words (what the circuit produces vs. what the
 //! specification demands).
 
-use gbmv_poly::{Int, Polynomial, Var};
+use gbmv_poly::{Int, Monomial, Polynomial, Var};
 
 use crate::model::AlgebraicModel;
 use crate::spec::Spec;
@@ -151,11 +151,19 @@ pub(crate) fn find_assignment(
     let to_values = |assignment: &dyn Fn(Var) -> bool| -> Vec<bool> {
         inputs.iter().map(|&v| assignment(v)).collect()
     };
-    // Heuristic 1: for each monomial (smallest degree first), set exactly its
-    // variables to one.
-    let mut monomials: Vec<_> = remainder.iter().map(|(m, _)| m.clone()).collect();
-    monomials.sort_by_key(|m| m.degree());
-    for m in monomials.iter().take(64) {
+    // Heuristic 1: for each of the 64 smallest-degree monomials, set exactly
+    // its variables to one. Ties break by the monomial itself, not by the
+    // term table's iteration order, so equal remainders from different
+    // engines ground the same counterexample.
+    const TRIED: usize = 64;
+    let by_degree = |x: &&Monomial, y: &&Monomial| x.degree().cmp(&y.degree()).then(x.cmp(y));
+    let mut monomials: Vec<&Monomial> = remainder.iter().map(|(m, _)| m).collect();
+    if monomials.len() > TRIED {
+        monomials.select_nth_unstable_by(TRIED - 1, by_degree);
+        monomials.truncate(TRIED);
+    }
+    monomials.sort_by(by_degree);
+    for m in monomials {
         let assignment = |v: Var| m.contains(v);
         if nonzero(&remainder.eval_bool(&assignment)) {
             return Some(to_values(&assignment));

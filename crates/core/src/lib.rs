@@ -16,7 +16,18 @@
 //!    provided schemes are *fanout rewriting* (the MT-FO baseline of
 //!    Farahmandi & Alizadeh), *XOR rewriting* with the **XOR-AND vanishing
 //!    rule**, and *logic reduction rewriting* (Algorithm 3, the paper's
-//!    contribution).
+//!    contribution). The indexed rewriter of the `MT-LR-IDX`/`MT-LR-PAR`
+//!    presets applies the unit-propagation closure ([`ClosureVanishing`]) in
+//!    both passes and keeps coefficients canonical per tail
+//!    ([`TailModuli`]): mod `2^k` in general, and mod `2^(k − e)` for a
+//!    *sink output* — a primary output no tail reads — whose spec monomials
+//!    all carry coefficients divisible by `2^e`. That is sound because
+//!    substitution is a ring homomorphism and a sink output's tail reaches
+//!    the remainder only multiplied by those coefficients, so a change by a
+//!    multiple of `2^(k − e)` moves the remainder by a multiple of `2^k`,
+//!    which the zero test quotients out; every closure-cancelled monomial
+//!    lies in the circuit ideal. Remainders, verdicts and counterexamples
+//!    are unchanged.
 //! 3. **Gröbner basis reduction** ([`reduction`], pluggable via
 //!    [`ReductionStrategy`], Algorithm 1): the specification polynomial is
 //!    divided by the rewritten model; the circuit is correct iff the
@@ -68,7 +79,6 @@ mod session;
 mod spec;
 mod strategy;
 mod vanishing;
-mod verify;
 
 pub use budget::{Budget, DeadlineToken};
 pub use counterexample::{Counterexample, InputBit};
@@ -76,12 +86,13 @@ pub use model::{AlgebraicModel, ExtractError, GateFunction};
 pub use parallel::ParallelReduction;
 pub use portfolio::{Portfolio, PortfolioReport, StrategyRun};
 pub use reduction::{GbReduction, IndexedReduction, ReductionOutcome, ReductionStats};
-pub use rewrite::{RewriteConfig, RewriteStats, RewriteVanishing, RewritingScheme};
+pub use rewrite::{RewriteConfig, RewriteStats, RewriteVanishing, RewritingScheme, TailModuli};
 pub use session::{Outcome, Phase, Progress, Report, RunStats, Session, SessionError};
 pub use spec::{Spec, SpecError};
 pub use strategy::{
     FanoutRewrite, GreedyReduction, IndexedLogicReductionRewrite, LogicReductionRewrite, Method,
     NoRewrite, PhaseContext, ReductionStrategy, RewriteStrategy, XorRewrite,
 };
-pub use vanishing::{ClosureVanishing, VanishScratch, VanishingRules, VanishingTracker};
-pub use verify::{Verifier, VerifyConfig};
+pub use vanishing::{
+    ClosureVanishing, SharedClosure, VanishScratch, VanishingRules, VanishingTracker,
+};

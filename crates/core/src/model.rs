@@ -81,7 +81,13 @@ pub struct AlgebraicModel {
     column_reach: Vec<u64>,
     /// Net names, for diagnostics.
     names: Vec<String>,
+    /// Identity of the extraction this model came from; see
+    /// [`AlgebraicModel::structure_id`].
+    structure_id: u64,
 }
+
+/// Source of [`AlgebraicModel::structure_id`] values.
+static NEXT_STRUCTURE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl AlgebraicModel {
     /// Extracts the algebraic model from a netlist (Step 1 of the MT
@@ -145,7 +151,17 @@ impl AlgebraicModel {
             gate_functions,
             column_reach,
             names,
+            structure_id: NEXT_STRUCTURE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         })
+    }
+
+    /// Identifies the extraction this model came from. Clones and rewritten
+    /// copies keep the id — rewriting only changes tails, never the gate
+    /// structure — while every [`AlgebraicModel::from_netlist`] call gets a
+    /// fresh one. Indices derived from the gate structure alone (the
+    /// [`crate::ClosureVanishing`] closure) are keyed by it.
+    pub(crate) fn structure_id(&self) -> u64 {
+        self.structure_id
     }
 
     /// Evaluates the circuit on a concrete input assignment by evaluating the

@@ -141,8 +141,8 @@ impl ReductionStrategy for ParallelReduction {
         };
         let vanish = self
             .vanishing
-            .then(|| ClosureVanishing::new(model, ctx.rules))
-            .filter(ClosureVanishing::enabled);
+            .then(|| ctx.closure_index(model))
+            .filter(|index| index.enabled());
 
         // Cone decomposition over the (rewritten) model + spec partitioning.
         let groups = cone_groups(model, self.merge_overlap);
@@ -155,7 +155,7 @@ impl ReductionStrategy for ParallelReduction {
 
         let engine = FusedReduction {
             model,
-            vanish: vanish.as_ref(),
+            vanish: vanish.as_deref(),
             modulus_bits,
             max_terms: ctx.budget.max_terms,
             token: &ctx.token,
@@ -683,15 +683,13 @@ mod tests {
     use crate::budget::Budget;
     use crate::reduction::GbReduction;
     use crate::spec::Spec;
-    use crate::vanishing::VanishingRules;
     use gbmv_genmul::MultiplierSpec;
 
     fn context(budget: Budget) -> PhaseContext {
         PhaseContext {
             budget,
             token: budget.token(),
-            rules: VanishingRules::default(),
-            modulus_bits: None,
+            ..PhaseContext::default()
         }
     }
 
@@ -762,8 +760,7 @@ mod tests {
         let ctx = PhaseContext {
             budget,
             token,
-            rules: VanishingRules::default(),
-            modulus_bits: None,
+            ..PhaseContext::default()
         };
         let par = ParallelReduction::default();
         let (_, outcome, _) = par.reduce(&model, &spec, modulus, &ctx);

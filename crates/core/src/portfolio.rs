@@ -23,7 +23,9 @@ use gbmv_sat::{check_against_product_with, EquivalenceResult};
 use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::ground_assignment;
 use crate::model::{AlgebraicModel, ExtractError};
-use crate::session::{run_pipeline, CexContext, Outcome, Phase, Progress, RunStats, SessionError};
+use crate::session::{
+    run_pipeline, CexContext, Outcome, Phase, PipelineInput, Progress, RunStats, SessionError,
+};
 use crate::spec::Spec;
 use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
 use crate::vanishing::VanishingRules;
@@ -216,7 +218,10 @@ impl Portfolio {
         self.entries.iter().map(|e| e.name.as_str()).collect()
     }
 
-    fn prepared(&self) -> Result<(Spec, Polynomial, Option<u32>), SessionError> {
+    /// Validates the configuration and instantiates the spec, together with
+    /// the run context every entry starts from: the spec-weighted moduli and
+    /// one closure index, shared by all entries (each gets its own token).
+    fn prepared(&self) -> Result<(Spec, Polynomial, PhaseContext), SessionError> {
         let spec = self.spec.clone().ok_or(SessionError::MissingSpec)?;
         if self.entries.is_empty() {
             return Err(SessionError::NoStrategies);
@@ -229,7 +234,15 @@ impl Portfolio {
         if needs_sat && spec.unsigned_multiplier_width().is_none() {
             return Err(SessionError::SatBaselineUnsupported { spec: spec.name() });
         }
-        Ok((spec, poly, modulus_bits))
+        let ctx = PhaseContext::for_run(
+            &self.model,
+            &poly,
+            modulus_bits,
+            self.budget,
+            self.budget.token(),
+            self.rules,
+        );
+        Ok((spec, poly, ctx))
     }
 
     fn execute(
@@ -237,35 +250,29 @@ impl Portfolio {
         entry: &PortfolioEntry,
         spec: &Spec,
         spec_poly: &Polynomial,
-        modulus_bits: Option<u32>,
+        ctx: &PhaseContext,
         token: DeadlineToken,
     ) -> StrategyRun {
         let start = Instant::now();
         match &entry.kind {
             EntryKind::Algebraic { rewrite, reduction } => {
-                let ctx = PhaseContext {
-                    budget: self.budget,
-                    token,
-                    rules: self.rules,
-                    modulus_bits,
-                };
-                let cex_ctx = CexContext {
-                    model: &self.model,
-                    input_names: &self.input_names,
-                    spec: Some(spec),
-                };
-                let mut noop = |_: &Progress| {};
-                let report = run_pipeline(
-                    entry.name.clone(),
-                    &self.model,
+                let input = PipelineInput {
+                    strategy_name: entry.name.clone(),
+                    base: &self.model,
                     spec_poly,
-                    modulus_bits,
-                    rewrite.as_ref(),
-                    reduction.as_ref(),
-                    &ctx,
-                    self.counterexamples.then_some(&cex_ctx),
-                    &mut noop,
-                );
+                    rewrite: rewrite.as_ref(),
+                    reduction: reduction.as_ref(),
+                    ctx: PhaseContext {
+                        token,
+                        ..ctx.clone()
+                    },
+                    cex: self.counterexamples.then_some(CexContext {
+                        model: &self.model,
+                        input_names: &self.input_names,
+                        spec: Some(spec),
+                    }),
+                };
+                let report = run_pipeline(input, &mut |_: &Progress| {});
                 StrategyRun {
                     strategy: entry.name.clone(),
                     outcome: report.outcome,
@@ -311,11 +318,11 @@ impl Portfolio {
     /// (each with its own deadline token). The report's winner is the fastest
     /// strategy with a definitive verdict.
     pub fn run_all(&self) -> Result<PortfolioReport, SessionError> {
-        let (spec, spec_poly, modulus_bits) = self.prepared()?;
+        let (spec, spec_poly, ctx) = self.prepared()?;
         let runs: Vec<StrategyRun> = self
             .entries
             .iter()
-            .map(|entry| self.execute(entry, &spec, &spec_poly, modulus_bits, self.budget.token()))
+            .map(|entry| self.execute(entry, &spec, &spec_poly, &ctx, self.budget.token()))
             .collect();
         let winner = runs
             .iter()
@@ -331,7 +338,7 @@ impl Portfolio {
     /// [`Outcome::Cancelled`]. The report's winner is the first strategy to
     /// finish with a definitive verdict.
     pub fn race(&self) -> Result<PortfolioReport, SessionError> {
-        let (spec, spec_poly, modulus_bits) = self.prepared()?;
+        let (spec, spec_poly, ctx) = self.prepared()?;
         let token = self.budget.token();
         let slots: Vec<Mutex<Option<(StrategyRun, Instant)>>> =
             self.entries.iter().map(|_| Mutex::new(None)).collect();
@@ -340,9 +347,10 @@ impl Portfolio {
                 let token = token.clone();
                 let spec = &spec;
                 let spec_poly = &spec_poly;
+                let ctx = &ctx;
                 let this = &*self;
                 scope.spawn(move || {
-                    let run = this.execute(entry, spec, spec_poly, modulus_bits, token.clone());
+                    let run = this.execute(entry, spec, spec_poly, ctx, token.clone());
                     if run.outcome.is_definitive() {
                         token.cancel();
                     }

@@ -391,11 +391,11 @@ impl crate::strategy::ReductionStrategy for IndexedReduction {
         let start = Instant::now();
         let vanish = self
             .vanishing
-            .then(|| crate::vanishing::ClosureVanishing::new(model, ctx.rules))
-            .filter(crate::vanishing::ClosureVanishing::enabled);
+            .then(|| ctx.closure_index(model))
+            .filter(|index| index.enabled());
         let engine = crate::parallel::FusedReduction {
             model,
-            vanish: vanish.as_ref(),
+            vanish: vanish.as_deref(),
             modulus_bits,
             max_terms: ctx.budget.max_terms,
             token: &ctx.token,

@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use gbmv_poly::{FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
+use gbmv_poly::{FastMap, FastSet, IndexedPolynomial, Monomial, Polynomial, Var};
 
 use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
@@ -341,8 +341,11 @@ impl<'a> RewriteVanishing<'a> {
 ///   inserted, and a whole extracted term is skipped when its residual
 ///   monomial alone already vanishes (sound because both predicates are
 ///   monotone: every supermonomial of a vanishing monomial vanishes too);
-/// * with `modulus_bits = Some(k)`, coefficients are kept canonical mod
-///   `2^k` and terms cancel at insertion time;
+/// * coefficients of the tail of `v` are kept canonical mod
+///   `2^moduli.bits(v)` (when [`TailModuli::bits`] is `Some`) and terms
+///   cancel at insertion time — `2^k` for every tail under
+///   [`TailModuli::uniform`], narrower for sink outputs under
+///   [`TailModuli::spec_weighted`];
 /// * terms over keep-set variables and primary inputs only (no remaining
 ///   substitution candidate) retire into the store's inert accumulator,
 ///   outside all per-step index maintenance.
@@ -355,8 +358,8 @@ impl<'a> RewriteVanishing<'a> {
 /// example after an earlier pass stopped at a limit) stay correct.
 ///
 /// The rewritten tails are the canonical post-rewrite form: coefficients in
-/// `[0, 2^k)` when a modulus is given. Which products cancel depends on the
-/// `vanishing` mode:
+/// `[0, 2^moduli.bits(v))` when a modulus is given. Which products cancel
+/// depends on the `vanishing` mode:
 ///
 /// * [`RewriteVanishing::Tracker`] applies the *same* static per-monomial
 ///   test as the scan engine's tracker, so judging each product at
@@ -367,7 +370,8 @@ impl<'a> RewriteVanishing<'a> {
 ///   identical to [`gb_rewrite`]'s — pinned across every generator
 ///   architecture by `tests/rewrite_equivalence.rs`.
 /// * [`RewriteVanishing::Closure`] applies the unit-propagation closure of
-///   the reduction engines, which cancels strictly more monomials. The
+///   the reduction engines (in the XOR *and* the common pass of the
+///   presets), which cancels strictly more monomials. The
 ///   post-rewrite model is then *not* syntactically the scan engine's —
 ///   the closure changes which variables survive the XOR pass, and with
 ///   them the common keep-set — but every cancelled monomial is a member
@@ -382,7 +386,7 @@ pub fn gb_rewrite_indexed(
     keep: &FastSet<Var>,
     vanishing: Option<RewriteVanishing>,
     config: &RewriteConfig,
-    modulus_bits: Option<u32>,
+    moduli: &TailModuli,
 ) -> RewriteStats {
     let start = Instant::now();
     let mut stats = RewriteStats::default();
@@ -423,7 +427,7 @@ pub fn gb_rewrite_indexed(
         for &u in &cand {
             tracked[u.index()] = true;
         }
-        let mut store = IndexedPolynomial::new(tracked, modulus_bits);
+        let mut store = IndexedPolynomial::new(tracked, moduli.bits(v));
         for (m, c) in tail.iter() {
             store.add_term(m.clone(), c.clone());
         }
@@ -546,53 +550,177 @@ pub fn gb_rewrite_indexed(
     stats
 }
 
-/// XOR rewriting on the indexed store, with vanishing cancellation applied
-/// during each substitution. [`VanishingRules::closure`] selects the
-/// predicate: the unit-propagation closure by default (the presets' fast,
-/// width-16-opening mode), the scan tracker's pattern rules when disabled —
-/// the byte-identical differential mode of `tests/rewrite_equivalence.rs`.
-pub fn indexed_xor_rewriting(
-    model: &mut AlgebraicModel,
-    config: &RewriteConfig,
-    modulus_bits: Option<u32>,
-) -> RewriteStats {
-    let keep = keep_set(model, RewritingScheme::Xor);
-    if config.rules.closure {
-        let vanishing = ClosureVanishing::new(model, config.rules);
-        let vanishing = RewriteVanishing::closure(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits)
-    } else {
-        let vanishing = VanishingTracker::new(model, config.rules);
-        let vanishing = RewriteVanishing::Tracker(&vanishing);
-        gb_rewrite_indexed(model, &keep, Some(vanishing), config, modulus_bits)
+/// The coefficient moduli of the indexed rewriter's tails, in bits: the
+/// tail of `v` is kept canonical mod `2^bits(v)`.
+///
+/// Under [`TailModuli::uniform`] every tail keeps the zero test's `2^k`.
+/// [`TailModuli::spec_weighted`] narrows the modulus of each *sink output* —
+/// a primary output that no model tail reads — to `2^(k − e(v))`, where
+/// `e(v)` is the smallest 2-adic valuation among the specification's
+/// coefficients of monomials containing `v`. This is the modular
+/// coefficient reasoning of Ritirc, Biere & Kauers ("Column-wise
+/// verification of multipliers using computer algebra", FMCAD 2017): the
+/// top output of a `2n`-bit product carries `2^(2n−1)`, so only the parity
+/// of its tail's coefficients can reach the `mod 2^(2n)` zero test.
+///
+/// Soundness: substitution is a ring homomorphism, and no tail reads a sink
+/// output, so the tail of `v` reaches the remainder only through the spec
+/// monomials containing `v`, each multiplied by a coefficient divisible by
+/// `2^e(v)`. Changing the tail by a multiple of `2^(k − e(v))` therefore
+/// changes the remainder by a multiple of `2^k` (for a monomial holding two
+/// sink outputs `v, w`, the cross terms carry `2^(k − e(v))·2^(k − e(w))`
+/// times a coefficient divisible by both `2^e(v)` and `2^e(w)`), which the
+/// zero test quotients out: remainders, verdicts and counterexamples are
+/// unchanged. The moduli are only valid for the specification they were
+/// derived from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TailModuli {
+    /// The modulus of every tail not listed in `sinks` (the zero test's
+    /// `k`; `None` keeps exact integer coefficients).
+    pub default: Option<u32>,
+    /// Narrower moduli of sink outputs, by variable.
+    pub sinks: FastMap<Var, u32>,
+}
+
+impl TailModuli {
+    /// Every tail mod `2^bits` (exact coefficients for `None`).
+    pub fn uniform(bits: Option<u32>) -> TailModuli {
+        TailModuli {
+            default: bits,
+            sinks: FastMap::default(),
+        }
+    }
+
+    /// The spec-weighted moduli of `spec` over the *pristine* `model` under
+    /// the zero test mod `2^bits` (see the type docs). Outputs that a tail
+    /// reads, outputs without a spec monomial, and outputs with an odd
+    /// coefficient (`e = 0`) keep `2^bits`.
+    pub fn spec_weighted(
+        model: &AlgebraicModel,
+        spec: &Polynomial,
+        bits: Option<u32>,
+    ) -> TailModuli {
+        let mut moduli = TailModuli::uniform(bits);
+        let Some(k) = bits else { return moduli };
+        let mut read = vec![false; model.var_count()];
+        for v in model.polynomial_order() {
+            for (m, _) in model.tail(v).expect("present polynomial").iter() {
+                for u in m.vars() {
+                    read[u.index()] = true;
+                }
+            }
+        }
+        let is_sink = |v: Var| model.is_output(v) && !read[v.index()] && model.tail(v).is_some();
+        let mut valuation: FastMap<Var, u32> = FastMap::default();
+        for (m, c) in spec.iter() {
+            if !m.vars().any(is_sink) {
+                continue;
+            }
+            // 2-adic valuation, capped at `k` (a multiple of `2^k` never
+            // reaches the zero test).
+            let e = (0..k).find(|&j| !c.is_multiple_of_pow2(j + 1)).unwrap_or(k);
+            for v in m.vars().filter(|&v| is_sink(v)) {
+                let slot = valuation.entry(v).or_insert(e);
+                *slot = (*slot).min(e);
+            }
+        }
+        for (v, e) in valuation {
+            if e > 0 && e < k {
+                moduli.sinks.insert(v, k - e);
+            }
+        }
+        moduli
+    }
+
+    /// The modulus (in bits) of the tail of `v`.
+    pub fn bits(&self, v: Var) -> Option<u32> {
+        self.sinks.get(&v).copied().or(self.default)
     }
 }
 
-/// Common rewriting on the indexed store (no vanishing, like the scan
-/// engine's common pass).
+/// XOR rewriting on the indexed store, with vanishing cancellation applied
+/// during each substitution. `closure` selects the predicate: the
+/// unit-propagation closure when given (the presets' fast,
+/// width-16-opening mode), the scan tracker's pattern rules otherwise — the
+/// byte-identical differential mode of `tests/rewrite_equivalence.rs`.
+pub fn indexed_xor_rewriting(
+    model: &mut AlgebraicModel,
+    config: &RewriteConfig,
+    moduli: &TailModuli,
+    closure: Option<&ClosureVanishing>,
+) -> RewriteStats {
+    let keep = keep_set(model, RewritingScheme::Xor);
+    match closure {
+        Some(closure) => {
+            let vanishing = RewriteVanishing::closure(closure);
+            gb_rewrite_indexed(model, &keep, Some(vanishing), config, moduli)
+        }
+        None => {
+            let tracker = VanishingTracker::new(model, config.rules);
+            let vanishing = RewriteVanishing::Tracker(&tracker);
+            gb_rewrite_indexed(model, &keep, Some(vanishing), config, moduli)
+        }
+    }
+}
+
+/// Common rewriting on the indexed store. With `closure` given, every
+/// product is judged by the same unit-propagation closure as the XOR pass
+/// and the reduction, so vanishing monomials die here instead of being
+/// built into the model and cancelled again in Step 3 (sound for the same
+/// reason: each one lies in the circuit ideal). Without it the pass applies
+/// no vanishing rule, exactly like the scan engine's common pass — the
+/// tracker mode stays byte-identical to [`common_rewriting`].
 pub fn indexed_common_rewriting(
     model: &mut AlgebraicModel,
     config: &RewriteConfig,
-    modulus_bits: Option<u32>,
+    moduli: &TailModuli,
+    closure: Option<&ClosureVanishing>,
 ) -> RewriteStats {
     let keep = keep_set(model, RewritingScheme::Common);
-    gb_rewrite_indexed(model, &keep, None, config, modulus_bits)
+    let vanishing = closure.map(RewriteVanishing::closure);
+    gb_rewrite_indexed(model, &keep, vanishing, config, moduli)
 }
 
 /// Logic reduction rewriting (Algorithm 3) on the indexed store: indexed
-/// XOR rewriting followed by indexed common rewriting — the Step 2 of the
-/// `MT-LR-IDX` and `MT-LR-PAR` presets. With [`VanishingRules::closure`]
-/// disabled it produces the canonical (mod `2^k`) form of
-/// [`logic_reduction_rewriting`]'s result, term for term; with the default
-/// closure mode the model is smaller but reduces to the same remainder.
+/// XOR rewriting followed by indexed common rewriting, every tail mod
+/// `2^modulus_bits`. [`VanishingRules::closure`] selects the predicate: with
+/// it disabled the result is the canonical (mod `2^k`) form of
+/// [`logic_reduction_rewriting`]'s, term for term; with the default closure
+/// mode (one index, built here and shared by both passes) the model is
+/// smaller but reduces to the same remainder. The presets go through
+/// [`indexed_logic_reduction_rewriting_with`] instead, which also takes the
+/// run's spec-weighted moduli and shared closure index.
 pub fn indexed_logic_reduction_rewriting(
     model: &mut AlgebraicModel,
     config: &RewriteConfig,
     modulus_bits: Option<u32>,
 ) -> RewriteStats {
-    let mut stats = indexed_xor_rewriting(model, config, modulus_bits);
+    let closure = config
+        .rules
+        .closure
+        .then(|| ClosureVanishing::new(model, config.rules));
+    indexed_logic_reduction_rewriting_with(
+        model,
+        config,
+        &TailModuli::uniform(modulus_bits),
+        closure.as_ref(),
+    )
+}
+
+/// Logic reduction rewriting on the indexed store with explicit per-tail
+/// moduli and vanishing predicate — the Step 2 of the `MT-LR-IDX` and
+/// `MT-LR-PAR` presets. `closure` (the run's shared index) selects closure
+/// mode for both passes; `None` selects tracker mode (see
+/// [`indexed_xor_rewriting`] and [`indexed_common_rewriting`]).
+pub fn indexed_logic_reduction_rewriting_with(
+    model: &mut AlgebraicModel,
+    config: &RewriteConfig,
+    moduli: &TailModuli,
+    closure: Option<&ClosureVanishing>,
+) -> RewriteStats {
+    let mut stats = indexed_xor_rewriting(model, config, moduli, closure);
     if !stats.limit_exceeded {
-        let common = indexed_common_rewriting(model, config, modulus_bits);
+        let common = indexed_common_rewriting(model, config, moduli, closure);
         stats.merge(&common);
     }
     stats

@@ -61,9 +61,8 @@ impl std::fmt::Display for Phase {
 }
 
 /// A structured progress event, delivered to the observer installed with
-/// [`Session::observer`]. This replaces the old `GBMV_TIMING` environment
-/// variable: phase timings are pushed to the observer instead of printed to
-/// stderr.
+/// [`Session::observer`]: phase timings are pushed to the observer instead
+/// of printed to stderr.
 #[derive(Debug, Clone)]
 pub enum Progress {
     /// A phase is about to start.
@@ -246,8 +245,8 @@ impl From<SpecError> for SessionError {
 type ObserverBox = Box<dyn FnMut(&Progress)>;
 
 /// Extracts the algebraic model plus the primary-input names of a netlist —
-/// the shared Step 1 of [`Session::extract`], [`crate::Portfolio::extract`]
-/// and [`crate::Verifier::new`].
+/// the shared Step 1 of [`Session::extract`] and
+/// [`crate::Portfolio::extract`].
 pub(crate) fn extract_model(
     netlist: &Netlist,
 ) -> Result<(AlgebraicModel, Vec<String>), ExtractError> {
@@ -268,32 +267,46 @@ pub(crate) struct CexContext<'a> {
     pub spec: Option<&'a Spec>,
 }
 
+/// One run of the shared verification pipeline, as built by
+/// [`Session::run`] and the [`crate::Portfolio`] entries.
+pub(crate) struct PipelineInput<'a> {
+    /// Display name of the strategy, copied into the report.
+    pub strategy_name: String,
+    /// The pristine model; Step 2 rewrites a clone of it.
+    pub base: &'a AlgebraicModel,
+    /// The instantiated specification polynomial.
+    pub spec_poly: &'a Polynomial,
+    pub rewrite: &'a dyn RewriteStrategy,
+    pub reduction: &'a dyn ReductionStrategy,
+    /// Budget, token and rules, plus what the run derives once for both
+    /// phases: the zero test's modulus, the spec-weighted sink moduli and
+    /// the shared closure index (see [`PhaseContext::for_run`]).
+    pub ctx: PhaseContext,
+    /// Where to ground a counterexample; `None` skips the search.
+    pub cex: Option<CexContext<'a>>,
+}
+
 /// The shared verification pipeline: Step 2 (rewriting) on a clone of the
 /// model, Steps 3/4 (reduction and the zero test), then the counterexample
-/// search. Used by [`Session::run`], the [`crate::Portfolio`] entries and the
-/// legacy [`crate::Verifier`].
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by Session, Portfolio, Verifier
+/// search.
 pub(crate) fn run_pipeline(
-    strategy_name: String,
-    base: &AlgebraicModel,
-    spec_poly: &Polynomial,
-    modulus_bits: Option<u32>,
-    rewrite: &dyn RewriteStrategy,
-    reduction: &dyn ReductionStrategy,
-    ctx: &PhaseContext,
-    cex: Option<&CexContext<'_>>,
+    input: PipelineInput<'_>,
     observer: &mut dyn FnMut(&Progress),
 ) -> Report {
+    let PipelineInput {
+        strategy_name,
+        base,
+        spec_poly,
+        rewrite,
+        reduction,
+        ctx,
+        cex,
+    } = input;
+    let ctx = &ctx;
+    let modulus_bits = ctx.modulus_bits;
     let start = Instant::now();
     let mut stats = RunStats::default();
     let mut model = base.clone();
-    // Install the run's modulus into the context: rewrite strategies that
-    // store canonical mod-2^k coefficients (the indexed rewriter) read it
-    // from there, while reduction strategies receive it explicitly.
-    let ctx = &PhaseContext {
-        modulus_bits,
-        ..ctx.clone()
-    };
 
     observer(&Progress::PhaseStarted {
         phase: Phase::Rewrite,
@@ -403,7 +416,7 @@ pub(crate) fn run_pipeline(
     let outcome = if remainder.is_zero() {
         Outcome::Verified
     } else {
-        let counterexample = cex.and_then(|cex| {
+        let counterexample = cex.as_ref().and_then(|cex| {
             observer(&Progress::PhaseStarted {
                 phase: Phase::Counterexample,
             });
@@ -582,38 +595,37 @@ impl Session {
     pub fn run(&mut self) -> Result<Report, SessionError> {
         let spec = self.spec.clone().ok_or(SessionError::MissingSpec)?;
         let (spec_poly, modulus_bits) = spec.instantiate(&self.model)?;
-        let strategy_name = self.strategy_name();
         let token = match &self.token {
             Some(token) => token.clone(),
             None => self.budget.token(),
         };
-        let ctx = PhaseContext {
-            budget: self.budget,
-            token,
-            rules: self.rules,
+        let ctx = PhaseContext::for_run(
+            &self.model,
+            &spec_poly,
             modulus_bits,
-        };
-        let cex_ctx = CexContext {
-            model: &self.model,
-            input_names: &self.input_names,
-            spec: Some(&spec),
+            self.budget,
+            token,
+            self.rules,
+        );
+        let input = PipelineInput {
+            strategy_name: self.strategy_name(),
+            base: &self.model,
+            spec_poly: &spec_poly,
+            rewrite: self.rewrite.as_ref(),
+            reduction: self.reduction.as_ref(),
+            ctx,
+            cex: self.counterexamples.then_some(CexContext {
+                model: &self.model,
+                input_names: &self.input_names,
+                spec: Some(&spec),
+            }),
         };
         let mut noop = |_: &Progress| {};
         let observer: &mut dyn FnMut(&Progress) = match &mut self.observer {
             Some(observer) => observer.as_mut(),
             None => &mut noop,
         };
-        Ok(run_pipeline(
-            strategy_name,
-            &self.model,
-            &spec_poly,
-            modulus_bits,
-            self.rewrite.as_ref(),
-            self.reduction.as_ref(),
-            &ctx,
-            self.counterexamples.then_some(&cex_ctx),
-            observer,
-        ))
+        Ok(run_pipeline(input, observer))
     }
 }
 
@@ -855,5 +867,66 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.outcome.is_verified(), "{:?}", report.outcome);
+    }
+
+    #[test]
+    fn raw_spec_polynomial_verifies() {
+        let nl = MultiplierSpec::parse("SP-WT-CL", 4).unwrap().build();
+        let session = Session::extract(&nl).unwrap();
+        let (poly, modulus) = Spec::multiplier(4).instantiate(session.model()).unwrap();
+        let report = session
+            .spec(Spec::polynomial("raw-mul4", poly).with_modulus_bits(modulus))
+            .run()
+            .unwrap();
+        assert!(report.outcome.is_verified(), "{:?}", report.outcome);
+        assert!(report.stats.model_polynomials > 0);
+    }
+
+    #[test]
+    fn cyclic_netlist_is_an_extract_error() {
+        use gbmv_netlist::GateKind;
+        let mut nl = gbmv_netlist::Netlist::new("cyc");
+        let a = nl.add_input("a");
+        let x = nl.add_net("x");
+        let y = nl.add_net("y");
+        nl.add_gate_driving(GateKind::And, x, &[a, y]).unwrap();
+        nl.add_gate_driving(GateKind::Or, y, &[a, x]).unwrap();
+        let ExtractError::CombinationalCycle { nets } = Session::extract(&nl).unwrap_err();
+        assert!(nets.contains(&"x".to_string()) && nets.contains(&"y".to_string()));
+    }
+
+    #[test]
+    fn resource_limit_reported_for_tiny_budget() {
+        let report = session("SP-WT-KS", 8)
+            .strategy(Method::MtNaive)
+            .budget(Budget {
+                max_terms: 100,
+                deadline: Some(Duration::from_secs(60)),
+                threads: 0,
+            })
+            .run()
+            .unwrap();
+        assert!(report.outcome.is_resource_limit(), "{:?}", report.outcome);
+    }
+
+    /// The indexed presets build the closure vanishing index once per run
+    /// and share it between Step 2 and Step 3.
+    #[test]
+    fn closure_index_is_built_once_per_run() {
+        use crate::vanishing::CLOSURE_BUILDS;
+        for method in [Method::MtLrIdx, Method::MtLrPar] {
+            let mut s = session("BP-CT-BK", 4)
+                .strategy(method)
+                .budget(Budget::default().with_threads(1));
+            CLOSURE_BUILDS.with(|n| n.set(0));
+            let report = s.run().unwrap();
+            assert!(
+                report.outcome.is_verified(),
+                "{method}: {:?}",
+                report.outcome
+            );
+            assert!(report.stats.rewrite.cancelled_vanishing > 0);
+            assert_eq!(CLOSURE_BUILDS.with(|n| n.get()), 1, "{method}");
+        }
     }
 }

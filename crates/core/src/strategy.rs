@@ -17,14 +17,15 @@ use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
 use crate::reduction::{GbReduction, ReductionOutcome, ReductionStats};
 use crate::rewrite::{
-    fanout_rewriting, indexed_logic_reduction_rewriting, logic_reduction_rewriting, xor_rewriting,
-    RewriteConfig, RewriteStats,
+    fanout_rewriting, indexed_logic_reduction_rewriting_with, logic_reduction_rewriting,
+    xor_rewriting, RewriteConfig, RewriteStats, TailModuli,
 };
-use crate::vanishing::{VanishingRules, VanishingTracker};
+use crate::vanishing::{ClosureVanishing, SharedClosure, VanishingRules, VanishingTracker};
 
 /// Everything a phase strategy needs to know about the run it executes in:
-/// the resource budget, the shared cancellation token, and the structural
-/// vanishing rules in force.
+/// the resource budget, the shared cancellation token, the structural
+/// vanishing rules in force, and what the run derived once for all phases
+/// (the spec-weighted tail moduli and the closure index).
 #[derive(Debug, Clone)]
 pub struct PhaseContext {
     /// The resource budget of the run.
@@ -35,11 +36,22 @@ pub struct PhaseContext {
     /// The structural vanishing rules of the run.
     pub rules: VanishingRules,
     /// The modulus (in bits) of the run's zero test, when it has one (for a
-    /// multiplier, `Some(2 * width)`). Strategies that store canonical
-    /// mod-`2^k` coefficients — the indexed rewriter — read it from here;
-    /// the session pipeline installs it from the instantiated spec, so
-    /// callers constructing a context by hand can leave it `None`.
+    /// multiplier, `Some(2 * width)`). The indexed rewriter keeps every tail
+    /// canonical mod `2^k` except the sink outputs listed in
+    /// [`PhaseContext::sink_moduli`]; reduction strategies receive the same
+    /// value explicitly. The session pipeline installs it from the
+    /// instantiated spec, so callers constructing a context by hand can
+    /// leave it `None`.
     pub modulus_bits: Option<u32>,
+    /// Narrower tail moduli of sink outputs, derived from the run's
+    /// specification by [`TailModuli::spec_weighted`] (the `sinks` half;
+    /// `modulus_bits` is the default). Only valid for that specification;
+    /// empty — every tail keeps `modulus_bits` — unless the session
+    /// pipeline installed it.
+    pub sink_moduli: gbmv_poly::FastMap<gbmv_poly::Var, u32>,
+    /// The run's closure vanishing index, built by the first phase that
+    /// needs it and shared with the later ones (see [`SharedClosure`]).
+    pub closure: SharedClosure,
 }
 
 impl Default for PhaseContext {
@@ -50,11 +62,49 @@ impl Default for PhaseContext {
             token: budget.token(),
             rules: VanishingRules::default(),
             modulus_bits: None,
+            sink_moduli: Default::default(),
+            closure: SharedClosure::default(),
         }
     }
 }
 
 impl PhaseContext {
+    /// The context of one pipeline run against the pristine `model` and the
+    /// instantiated `spec`: derives the spec-weighted sink moduli and starts
+    /// an empty shared closure index.
+    pub(crate) fn for_run(
+        model: &AlgebraicModel,
+        spec: &Polynomial,
+        modulus_bits: Option<u32>,
+        budget: Budget,
+        token: DeadlineToken,
+        rules: VanishingRules,
+    ) -> PhaseContext {
+        PhaseContext {
+            budget,
+            token,
+            rules,
+            modulus_bits,
+            sink_moduli: TailModuli::spec_weighted(model, spec, modulus_bits).sinks,
+            closure: SharedClosure::default(),
+        }
+    }
+
+    /// The per-tail moduli of the indexed rewriter: `modulus_bits` by
+    /// default, [`PhaseContext::sink_moduli`] for sink outputs.
+    pub fn tail_moduli(&self) -> TailModuli {
+        TailModuli {
+            default: self.modulus_bits,
+            sinks: self.sink_moduli.clone(),
+        }
+    }
+
+    /// The run's closure vanishing index for `model` under the context's
+    /// rules (built on first use, then shared; see [`SharedClosure`]).
+    pub fn closure_index(&self, model: &AlgebraicModel) -> std::sync::Arc<ClosureVanishing> {
+        self.closure.get(model, self.rules)
+    }
+
     /// The rewrite configuration corresponding to this context (deadline
     /// enforcement delegated to the token).
     pub fn rewrite_config(&self) -> RewriteConfig {
@@ -170,14 +220,21 @@ impl RewriteStrategy for LogicReductionRewrite {
 }
 
 /// Logic reduction rewriting on the incrementally indexed term store (see
-/// [`indexed_logic_reduction_rewriting`]): in-place extraction through the
-/// inverted var→term index, vanishing cancellation applied *during* each
-/// substitution (the unit-propagation closure by default, the scan
-/// tracker's pattern rules — term-for-term identical post-rewrite models
-/// to [`LogicReductionRewrite`] modulo coefficient canonicalization — when
-/// `VanishingRules::closure` is off), and canonical mod-`2^k` coefficients
-/// from [`PhaseContext::modulus_bits`] — the Step 2 of
-/// [`Method::MtLrIdx`] and [`Method::MtLrPar`].
+/// [`indexed_logic_reduction_rewriting_with`]) — the Step 2 of
+/// [`Method::MtLrIdx`] and [`Method::MtLrPar`]:
+///
+/// * in-place extraction through the inverted var→term index;
+/// * vanishing cancellation applied *during* each substitution of both
+///   passes, through the run's shared closure index
+///   ([`PhaseContext::closure_index`], also used by the reduction) — or,
+///   when `VanishingRules::closure` is off, the scan tracker's pattern rules
+///   in the XOR pass and none in the common pass, which gives term-for-term
+///   the post-rewrite model of [`LogicReductionRewrite`] modulo coefficient
+///   canonicalization (under uniform moduli);
+/// * canonical coefficients mod [`PhaseContext::tail_moduli`]: `2^k` for
+///   every tail but the sink outputs, whose tails only need the residue mod
+///   `2^(k − e)` that their spec coefficients let through (see
+///   [`TailModuli`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedLogicReductionRewrite;
 
@@ -187,7 +244,13 @@ impl RewriteStrategy for IndexedLogicReductionRewrite {
     }
 
     fn rewrite(&self, model: &mut AlgebraicModel, ctx: &PhaseContext) -> RewriteStats {
-        indexed_logic_reduction_rewriting(model, &ctx.rewrite_config(), ctx.modulus_bits)
+        let closure = ctx.rules.closure.then(|| ctx.closure_index(model));
+        indexed_logic_reduction_rewriting_with(
+            model,
+            &ctx.rewrite_config(),
+            &ctx.tail_moduli(),
+            closure.as_deref(),
+        )
     }
 }
 

@@ -1,3 +1,5 @@
+use std::sync::{Arc, OnceLock};
+
 use gbmv_netlist::GateKind;
 use gbmv_poly::{FastMap, Monomial, Polynomial, Var};
 
@@ -34,9 +36,10 @@ pub struct VanishingRules {
     /// monomial whose variables force contradictory values by unit
     /// propagation (covers XOR chains, full-adder carry products, and
     /// complement pairs). Also selects the indexed *rewriter's* vanishing
-    /// predicate: closure when set, the tracker's pattern rules — the
-    /// byte-identical-to-the-scan-oracle differential mode — when clear.
-    /// Ignored by [`VanishingTracker`] itself.
+    /// predicate: the closure in both passes when set; when clear, the
+    /// tracker's pattern rules in the XOR pass and none in the common pass —
+    /// the byte-identical-to-the-scan-oracle differential mode. Ignored by
+    /// [`VanishingTracker`] itself.
     pub closure: bool,
 }
 
@@ -238,6 +241,32 @@ pub struct ClosureVanishing {
     use_xnor: bool,
 }
 
+/// A [`ClosureVanishing`] index shared by the phases of one run: the first
+/// phase that asks builds it, every later phase asking for the same model
+/// structure and rules gets the same index. The index depends on the gate
+/// structure only, which rewriting never changes, so Step 2 and Step 3 can
+/// share it. Clones share the index.
+#[derive(Debug, Clone, Default)]
+pub struct SharedClosure(Arc<OnceLock<(u64, VanishingRules, Arc<ClosureVanishing>)>>);
+
+impl SharedClosure {
+    /// The closure index of `model` under `rules`. The first call builds and
+    /// keeps it; later calls with the same rules and a model from the same
+    /// extraction (a clone or rewritten copy of it) return the kept index,
+    /// any other call builds a private one.
+    pub fn get(&self, model: &AlgebraicModel, rules: VanishingRules) -> Arc<ClosureVanishing> {
+        let (id, kept_rules, index) = self.0.get_or_init(|| {
+            let index = Arc::new(ClosureVanishing::new(model, rules));
+            (model.structure_id(), rules, index)
+        });
+        if *id == model.structure_id() && *kept_rules == rules {
+            Arc::clone(index)
+        } else {
+            Arc::new(ClosureVanishing::new(model, rules))
+        }
+    }
+}
+
 /// Per-worker scratch space for [`ClosureVanishing`] queries: epoch-stamped
 /// membership arrays, so clearing between queries is O(1).
 #[derive(Debug, Clone)]
@@ -270,9 +299,18 @@ impl VanishScratch {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`ClosureVanishing::new`] calls made on this thread; pins the
+    /// one-index-per-run contract of [`SharedClosure`].
+    pub(crate) static CLOSURE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl ClosureVanishing {
     /// Builds the index from the structural gate information of a model.
     pub fn new(model: &AlgebraicModel, rules: VanishingRules) -> Self {
+        #[cfg(test)]
+        CLOSURE_BUILDS.with(|n| n.set(n.get() + 1));
         let var_count = model.var_count();
         let gfs = model.gate_functions();
         let mut xor_pair = vec![None; var_count];
@@ -854,5 +892,23 @@ mod tests {
         let model = AlgebraicModel::from_netlist(&nl).unwrap();
         let tracker = VanishingTracker::new(&model, VanishingRules::default());
         assert_eq!(tracker.xor_gate_count(), 1);
+    }
+
+    /// The shared index is handed out again only for the same extraction
+    /// (clones and rewritten copies included) and the same rules.
+    #[test]
+    fn shared_closure_is_keyed_by_structure_and_rules() {
+        let (nl, ..) = xd_netlist();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let other = AlgebraicModel::from_netlist(&nl).unwrap();
+        let shared = SharedClosure::default();
+        let rules = VanishingRules::default();
+        let first = shared.get(&model, rules);
+        assert!(Arc::ptr_eq(&first, &shared.get(&model.clone(), rules)));
+        assert!(!Arc::ptr_eq(&first, &shared.get(&other, rules)));
+        assert!(!Arc::ptr_eq(
+            &first,
+            &shared.get(&model, VanishingRules::none())
+        ));
     }
 }

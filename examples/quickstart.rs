@@ -17,9 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let netlist = spec.build();
     println!("circuit: {}", netlist.summary());
 
-    // Algebraic verification with logic reduction rewriting (MT-LR). The
-    // observer replaces the old GBMV_TIMING env var: phase timings arrive as
-    // structured events.
+    // Algebraic verification with logic reduction rewriting (MT-LR). Phase
+    // timings arrive at the observer as structured events.
     let report = Session::extract(&netlist)?
         .spec(Spec::multiplier(width))
         .strategy(Method::MtLr)
