@@ -20,9 +20,9 @@
 //!    presets applies the unit-propagation closure ([`ClosureVanishing`]) in
 //!    both passes and keeps coefficients canonical per tail
 //!    ([`TailModuli`]): mod `2^k` in general, and mod `2^(k − e)` for a
-//!    *sink output* — a primary output no tail reads — whose spec monomials
-//!    all carry coefficients divisible by `2^e`. That is sound because
-//!    substitution is a ring homomorphism and a sink output's tail reaches
+//!    *sink* — a net no tail reads, such as a primary output — whose spec
+//!    monomials all carry coefficients divisible by `2^e`. That is sound
+//!    because substitution is a ring homomorphism and a sink's tail reaches
 //!    the remainder only multiplied by those coefficients, so a change by a
 //!    multiple of `2^(k − e)` moves the remainder by a multiple of `2^k`,
 //!    which the zero test quotients out; every closure-cancelled monomial
@@ -40,6 +40,17 @@
 //!    the same indexed reduction along merged output cones, runs it on a
 //!    scoped worker pool, and recombines the partial remainders
 //!    deterministically.
+//!
+//! Before Step 2 the indexed presets try the **final-stage-adder split**
+//! ([`adder_split`]): they detect the multiplier's final adder from the gate
+//! functions, reduce its word identity `W = Σ 2^i s_i − Σ 2^i (a_i + b_i)`
+//! mod `2^m` over the adder's region alone, and — when `W` reduces to zero —
+//! run Steps 2–3 on `spec + W`, which names the adder's operand words
+//! instead of the output word, on a model without the adder. `W` then lies
+//! in the circuit's ideal plus `2^m`, so both specs have the same normal
+//! form over the primary inputs: remainders, verdicts and counterexamples
+//! are bit-identical, and the parallel-prefix adders that used to blow up
+//! Step 3 never enter it.
 //!
 //! The user-facing entry point is the [`Session`] builder: extract once,
 //! choose a [`Spec`] and a strategy (a [`Method`] preset or custom
@@ -68,6 +79,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adder_split;
 mod budget;
 mod counterexample;
 mod model;
@@ -80,6 +92,7 @@ mod spec;
 mod strategy;
 mod vanishing;
 
+pub use adder_split::{AdderSplitStats, FinalStageAdder};
 pub use budget::{Budget, DeadlineToken};
 pub use counterexample::{Counterexample, InputBit};
 pub use model::{AlgebraicModel, ExtractError, GateFunction};

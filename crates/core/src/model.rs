@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use gbmv_netlist::{analysis, cone, GateKind, NetId, Netlist};
 use gbmv_poly::{FastMap, FastSet, Int, Monomial, Polynomial, Var};
 
@@ -72,18 +74,21 @@ pub struct AlgebraicModel {
     output_set: FastSet<Var>,
     /// Fanout count per variable index (from the original netlist).
     fanout: Vec<usize>,
-    /// Structural gate definitions for the vanishing rule.
-    gate_functions: FastMap<Var, GateFunction>,
+    /// Structural gate definitions for the vanishing rule. Never changes
+    /// after extraction, so clones and slices share it.
+    gate_functions: Arc<FastMap<Var, GateFunction>>,
     /// Output-column support mask per variable index: bit `min(j, 63)` is
     /// set when the variable lies in the backward cone of primary output
     /// `j`. Drives the indexed engines' column-weight substitution order
     /// and their column-retirement accounting.
     column_reach: Vec<u64>,
-    /// Net names, for diagnostics.
-    names: Vec<String>,
+    /// Net names, for diagnostics (shared by clones and slices).
+    names: Arc<[String]>,
     /// Identity of the extraction this model came from; see
     /// [`AlgebraicModel::structure_id`].
     structure_id: u64,
+    /// Variables added to every rewrite keep-set (see `pin`).
+    pinned: FastSet<Var>,
 }
 
 /// Source of [`AlgebraicModel::structure_id`] values.
@@ -135,7 +140,7 @@ impl AlgebraicModel {
         let outputs: Vec<Var> = netlist.outputs().iter().map(|(_, n)| Var(n.0)).collect();
         let input_set: FastSet<Var> = inputs.iter().copied().collect();
         let output_set: FastSet<Var> = outputs.iter().copied().collect();
-        let names = (0..netlist.net_count())
+        let names: Arc<[String]> = (0..netlist.net_count())
             .map(|i| netlist.net_name(NetId(i as u32)).to_string())
             .collect();
         let column_reach = cone::output_column_masks(netlist);
@@ -148,16 +153,76 @@ impl AlgebraicModel {
             input_set,
             output_set,
             fanout,
-            gate_functions,
+            gate_functions: Arc::new(gate_functions),
             column_reach,
             names,
             structure_id: NEXT_STRUCTURE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            pinned: FastSet::default(),
         })
     }
 
-    /// Identifies the extraction this model came from. Clones and rewritten
-    /// copies keep the id — rewriting only changes tails, never the gate
-    /// structure — while every [`AlgebraicModel::from_netlist`] call gets a
+    /// The model of a sub-circuit: the gate polynomials of `region` only,
+    /// with `inputs` as its primary inputs (free variables, whatever drives
+    /// them in the whole circuit) and `outputs` as its primary outputs.
+    ///
+    /// Variables keep their indices, fanouts and column masks; levels
+    /// restart at the slice's inputs. The structural gate definitions stay
+    /// those of the whole circuit, and so does
+    /// [`AlgebraicModel::structure_id`]: the closure vanishing index of
+    /// the whole circuit serves the slice too. Every monomial it cancels is
+    /// zero on every consistent assignment of the whole circuit, so a
+    /// polynomial that reduces to zero over the slice lies in the circuit's
+    /// ideal.
+    pub(crate) fn slice(&self, region: &[Var], inputs: Vec<Var>, outputs: Vec<Var>) -> Self {
+        let tails: FastMap<Var, Polynomial> = region
+            .iter()
+            .filter_map(|&v| self.tails.get(&v).map(|t| (v, t.clone())))
+            .collect();
+        let topo_order: Vec<Var> = self
+            .topo_order
+            .iter()
+            .copied()
+            .filter(|v| tails.contains_key(v))
+            .collect();
+        // The reduction's greedy order substitutes level by level, and the
+        // depth of the logic driving the inputs says nothing about the
+        // slice: ordered by whole-circuit levels, the Kogge-Stone slice of
+        // SP-RT-KS w16 ran past millions of terms instead of a few hundred.
+        let mut levels = vec![0; self.levels.len()];
+        for &v in &topo_order {
+            let gf = &self.gate_functions[&v];
+            if let Some(max_in) = gf.inputs.iter().map(|u| levels[u.index()]).max() {
+                levels[v.index()] = max_in + 1;
+            }
+        }
+        AlgebraicModel {
+            tails,
+            topo_order,
+            levels,
+            input_set: inputs.iter().copied().collect(),
+            output_set: outputs.iter().copied().collect(),
+            inputs,
+            outputs,
+            fanout: self.fanout.clone(),
+            gate_functions: Arc::clone(&self.gate_functions),
+            column_reach: self.column_reach.clone(),
+            names: Arc::clone(&self.names),
+            structure_id: self.structure_id,
+            pinned: FastSet::default(),
+        }
+    }
+
+    /// Adds `v` to every rewrite keep-set of this model, so Step 2 neither
+    /// substitutes it away nor drops its polynomial. The session pins the
+    /// internal nets a specification names: reduction must still find their
+    /// polynomials, or the remainder would keep them as free variables.
+    pub(crate) fn pin(&mut self, v: Var) {
+        self.pinned.insert(v);
+    }
+
+    /// Identifies the extraction this model came from. Clones, rewritten
+    /// copies and slices keep the id — rewriting and slicing only change
+    /// tails, never the gate structure — while every [`AlgebraicModel::from_netlist`] call gets a
     /// fresh one. Indices derived from the gate structure alone (the
     /// [`crate::ClosureVanishing`] closure) are keyed by it.
     pub(crate) fn structure_id(&self) -> u64 {
@@ -320,7 +385,8 @@ impl AlgebraicModel {
     }
 
     /// The set of variables that have fanout greater than one, plus primary
-    /// inputs and outputs: the keep-set of *fanout rewriting* (MT-FO).
+    /// inputs, outputs and pinned variables (the internal nets the run's
+    /// specification names): the keep-set of *fanout rewriting* (MT-FO).
     pub fn fanout_keep_set(&self) -> FastSet<Var> {
         let mut set: FastSet<Var> = self
             .topo_order
@@ -330,15 +396,16 @@ impl AlgebraicModel {
             .collect();
         set.extend(self.inputs.iter().copied());
         set.extend(self.outputs.iter().copied());
+        set.extend(self.pinned.iter().copied());
         set
     }
 
     /// The set of variables that are inputs or outputs of XOR (or XNOR)
-    /// gates, plus primary inputs and outputs: the keep-set of *XOR
-    /// rewriting*.
+    /// gates, plus primary inputs, outputs and pinned variables: the keep-set
+    /// of *XOR rewriting*.
     pub fn xor_keep_set(&self) -> FastSet<Var> {
         let mut set = FastSet::default();
-        for (&out, gf) in &self.gate_functions {
+        for (&out, gf) in self.gate_functions.iter() {
             if matches!(gf.kind, GateKind::Xor | GateKind::Xnor) {
                 set.insert(out);
                 set.extend(gf.inputs.iter().copied());
@@ -346,12 +413,13 @@ impl AlgebraicModel {
         }
         set.extend(self.inputs.iter().copied());
         set.extend(self.outputs.iter().copied());
+        set.extend(self.pinned.iter().copied());
         set
     }
 
     /// The set of variables used in more than one polynomial of the current
-    /// model, plus primary inputs and outputs: the keep-set of *common
-    /// rewriting*.
+    /// model, plus primary inputs, outputs and pinned variables: the keep-set
+    /// of *common rewriting*.
     pub fn common_keep_set(&self) -> FastSet<Var> {
         let mut counts: FastMap<Var, usize> = FastMap::default();
         for tail in self.tails.values() {
@@ -366,6 +434,7 @@ impl AlgebraicModel {
             .collect();
         set.extend(self.inputs.iter().copied());
         set.extend(self.outputs.iter().copied());
+        set.extend(self.pinned.iter().copied());
         set
     }
 

@@ -34,6 +34,7 @@ enum EntryKind {
     Algebraic {
         rewrite: Box<dyn RewriteStrategy>,
         reduction: Box<dyn ReductionStrategy>,
+        split_adder: bool,
     },
     SatMiter {
         conflict_budget: Option<u64>,
@@ -180,6 +181,7 @@ impl Portfolio {
             kind: EntryKind::Algebraic {
                 rewrite: method.rewrite_strategy(),
                 reduction: method.reduction_strategy(),
+                split_adder: method.splits_final_adder(),
             },
         });
         self
@@ -197,6 +199,7 @@ impl Portfolio {
             kind: EntryKind::Algebraic {
                 rewrite: Box::new(rewrite),
                 reduction: Box::new(reduction),
+                split_adder: false,
             },
         });
         self
@@ -255,13 +258,18 @@ impl Portfolio {
     ) -> StrategyRun {
         let start = Instant::now();
         match &entry.kind {
-            EntryKind::Algebraic { rewrite, reduction } => {
+            EntryKind::Algebraic {
+                rewrite,
+                reduction,
+                split_adder,
+            } => {
                 let input = PipelineInput {
                     strategy_name: entry.name.clone(),
                     base: &self.model,
                     spec_poly,
                     rewrite: rewrite.as_ref(),
                     reduction: reduction.as_ref(),
+                    split_adder: *split_adder,
                     ctx: PhaseContext {
                         token,
                         ..ctx.clone()

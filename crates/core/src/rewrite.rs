@@ -344,7 +344,7 @@ impl<'a> RewriteVanishing<'a> {
 /// * coefficients of the tail of `v` are kept canonical mod
 ///   `2^moduli.bits(v)` (when [`TailModuli::bits`] is `Some`) and terms
 ///   cancel at insertion time — `2^k` for every tail under
-///   [`TailModuli::uniform`], narrower for sink outputs under
+///   [`TailModuli::uniform`], narrower for sinks under
 ///   [`TailModuli::spec_weighted`];
 /// * terms over keep-set variables and primary inputs only (no remaining
 ///   substitution candidate) retire into the store's inert accumulator,
@@ -554,8 +554,10 @@ pub fn gb_rewrite_indexed(
 /// tail of `v` is kept canonical mod `2^bits(v)`.
 ///
 /// Under [`TailModuli::uniform`] every tail keeps the zero test's `2^k`.
-/// [`TailModuli::spec_weighted`] narrows the modulus of each *sink output* —
-/// a primary output that no model tail reads — to `2^(k − e(v))`, where
+/// [`TailModuli::spec_weighted`] narrows the modulus of each *sink* — a net
+/// with a gate polynomial that no model tail reads, such as a multiplier's
+/// outputs, or the adder's operand nets once the final-stage-adder split
+/// has dropped the adder (see [`crate::adder_split`]) — to `2^(k − e(v))`, where
 /// `e(v)` is the smallest 2-adic valuation among the specification's
 /// coefficients of monomials containing `v`. This is the modular
 /// coefficient reasoning of Ritirc, Biere & Kauers ("Column-wise
@@ -564,11 +566,12 @@ pub fn gb_rewrite_indexed(
 /// of its tail's coefficients can reach the `mod 2^(2n)` zero test.
 ///
 /// Soundness: substitution is a ring homomorphism, and no tail reads a sink
-/// output, so the tail of `v` reaches the remainder only through the spec
+/// (substitution never introduces a variable no tail reads), so the tail of
+/// `v` reaches the remainder only through the spec
 /// monomials containing `v`, each multiplied by a coefficient divisible by
 /// `2^e(v)`. Changing the tail by a multiple of `2^(k − e(v))` therefore
 /// changes the remainder by a multiple of `2^k` (for a monomial holding two
-/// sink outputs `v, w`, the cross terms carry `2^(k − e(v))·2^(k − e(w))`
+/// sinks `v, w`, the cross terms carry `2^(k − e(v))·2^(k − e(w))`
 /// times a coefficient divisible by both `2^e(v)` and `2^e(w)`), which the
 /// zero test quotients out: remainders, verdicts and counterexamples are
 /// unchanged. The moduli are only valid for the specification they were
@@ -578,7 +581,7 @@ pub struct TailModuli {
     /// The modulus of every tail not listed in `sinks` (the zero test's
     /// `k`; `None` keeps exact integer coefficients).
     pub default: Option<u32>,
-    /// Narrower moduli of sink outputs, by variable.
+    /// Narrower moduli of sinks, by variable.
     pub sinks: FastMap<Var, u32>,
 }
 
@@ -591,9 +594,9 @@ impl TailModuli {
         }
     }
 
-    /// The spec-weighted moduli of `spec` over the *pristine* `model` under
-    /// the zero test mod `2^bits` (see the type docs). Outputs that a tail
-    /// reads, outputs without a spec monomial, and outputs with an odd
+    /// The spec-weighted moduli of `spec` over the *unrewritten* `model`
+    /// under the zero test mod `2^bits` (see the type docs). Nets that a
+    /// tail reads, nets without a spec monomial, and nets with an odd
     /// coefficient (`e = 0`) keep `2^bits`.
     pub fn spec_weighted(
         model: &AlgebraicModel,
@@ -610,7 +613,7 @@ impl TailModuli {
                 }
             }
         }
-        let is_sink = |v: Var| model.is_output(v) && !read[v.index()] && model.tail(v).is_some();
+        let is_sink = |v: Var| !read[v.index()] && model.tail(v).is_some();
         let mut valuation: FastMap<Var, u32> = FastMap::default();
         for (m, c) in spec.iter() {
             if !m.vars().any(is_sink) {

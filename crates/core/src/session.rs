@@ -26,11 +26,12 @@ use std::time::{Duration, Instant};
 use gbmv_netlist::Netlist;
 use gbmv_poly::Polynomial;
 
+use crate::adder_split::{split_final_adder, AdderSplitStats};
 use crate::budget::{Budget, DeadlineToken};
 use crate::counterexample::{find_assignment, ground_assignment, Counterexample};
 use crate::model::{AlgebraicModel, ExtractError};
 use crate::reduction::{ReductionOutcome, ReductionStats};
-use crate::rewrite::RewriteStats;
+use crate::rewrite::{RewriteStats, TailModuli};
 use crate::spec::{Spec, SpecError};
 use crate::strategy::{Method, PhaseContext, ReductionStrategy, RewriteStrategy};
 use crate::vanishing::VanishingRules;
@@ -156,8 +157,12 @@ pub struct RunStats {
     pub max_polynomial_terms: usize,
     /// `#VM`: maximum monomial size (variables).
     pub max_monomial_vars: usize,
-    /// End-to-end wall-clock time of the run (rewriting + reduction +
-    /// counterexample search).
+    /// The final-stage-adder split of the `MT-LR-IDX`/`MT-LR-PAR` presets
+    /// (see [`crate::adder_split`]): the detected region, the slice check,
+    /// and whether Steps 2–3 ran on the split spec.
+    pub adder_split: AdderSplitStats,
+    /// End-to-end wall-clock time of the run (adder split + rewriting +
+    /// reduction + counterexample search).
     pub total_time: Duration,
 }
 
@@ -278,6 +283,9 @@ pub(crate) struct PipelineInput<'a> {
     pub spec_poly: &'a Polynomial,
     pub rewrite: &'a dyn RewriteStrategy,
     pub reduction: &'a dyn ReductionStrategy,
+    /// Try the final-stage-adder split before Step 2 (the indexed presets;
+    /// see [`Method::splits_final_adder`]).
+    pub split_adder: bool,
     /// Budget, token and rules, plus what the run derives once for both
     /// phases: the zero test's modulus, the spec-weighted sink moduli and
     /// the shared closure index (see [`PhaseContext::for_run`]).
@@ -286,9 +294,9 @@ pub(crate) struct PipelineInput<'a> {
     pub cex: Option<CexContext<'a>>,
 }
 
-/// The shared verification pipeline: Step 2 (rewriting) on a clone of the
-/// model, Steps 3/4 (reduction and the zero test), then the counterexample
-/// search.
+/// The shared verification pipeline: the final-stage-adder split (when
+/// enabled), Step 2 (rewriting) on a clone of the model, Steps 3/4
+/// (reduction and the zero test), then the counterexample search.
 pub(crate) fn run_pipeline(
     input: PipelineInput<'_>,
     observer: &mut dyn FnMut(&Progress),
@@ -299,14 +307,47 @@ pub(crate) fn run_pipeline(
         spec_poly,
         rewrite,
         reduction,
-        ctx,
+        split_adder,
+        mut ctx,
         cex,
     } = input;
-    let ctx = &ctx;
     let modulus_bits = ctx.modulus_bits;
     let start = Instant::now();
     let mut stats = RunStats::default();
     let mut model = base.clone();
+    let split = split_adder
+        .then(|| {
+            split_final_adder(
+                base,
+                spec_poly,
+                modulus_bits,
+                rewrite,
+                reduction,
+                &ctx,
+                &mut stats.adder_split,
+            )
+        })
+        .flatten();
+    let spec_poly = match &split {
+        Some(split) => {
+            for &v in &split.unreachable {
+                model.remove(v);
+            }
+            // Without the adder nothing reads its operand nets: they are the
+            // split spec's sinks, where the outputs were the spec's.
+            ctx.sink_moduli = TailModuli::spec_weighted(&model, &split.spec, modulus_bits).sinks;
+            &split.spec
+        }
+        None => spec_poly,
+    };
+    // Step 2 must keep every internal net the spec names (the operand nets
+    // of a split spec, say): reduction substitutes their polynomials.
+    for v in spec_poly.vars() {
+        if !base.is_input(v) && !base.is_output(v) {
+            model.pin(v);
+        }
+    }
+    let ctx = &ctx;
 
     observer(&Progress::PhaseStarted {
         phase: Phase::Rewrite,
@@ -413,6 +454,13 @@ pub(crate) fn run_pipeline(
         Some(k) => remainder.mod_coeffs_pow2(k),
         None => remainder,
     };
+    debug_assert!(
+        remainder
+            .vars()
+            .into_iter()
+            .all(|v| base.is_input(v) || base.tail(v).is_none()),
+        "a completed reduction left a gate output in the remainder"
+    );
     let outcome = if remainder.is_zero() {
         Outcome::Verified
     } else {
@@ -457,6 +505,7 @@ pub struct Session {
     rewrite: Box<dyn RewriteStrategy>,
     reduction: Box<dyn ReductionStrategy>,
     strategy_name: Option<String>,
+    split_adder: bool,
     budget: Budget,
     token: Option<DeadlineToken>,
     observer: Option<ObserverBox>,
@@ -496,6 +545,7 @@ impl Session {
             rewrite: Method::MtLr.rewrite_strategy(),
             reduction: Method::MtLr.reduction_strategy(),
             strategy_name: Some(Method::MtLr.name().to_string()),
+            split_adder: Method::MtLr.splits_final_adder(),
             budget: Budget::default(),
             token: None,
             observer: None,
@@ -514,6 +564,7 @@ impl Session {
         self.rewrite = method.rewrite_strategy();
         self.reduction = method.reduction_strategy();
         self.strategy_name = Some(method.name().to_string());
+        self.split_adder = method.splits_final_adder();
         self
     }
 
@@ -521,6 +572,7 @@ impl Session {
     pub fn rewrite_strategy(mut self, strategy: impl RewriteStrategy + 'static) -> Session {
         self.rewrite = Box::new(strategy);
         self.strategy_name = None;
+        self.split_adder = false;
         self
     }
 
@@ -529,6 +581,7 @@ impl Session {
     pub fn reduction_strategy(mut self, strategy: impl ReductionStrategy + 'static) -> Session {
         self.reduction = Box::new(strategy);
         self.strategy_name = None;
+        self.split_adder = false;
         self
     }
 
@@ -613,6 +666,7 @@ impl Session {
             spec_poly: &spec_poly,
             rewrite: self.rewrite.as_ref(),
             reduction: self.reduction.as_ref(),
+            split_adder: self.split_adder,
             ctx,
             cex: self.counterexamples.then_some(CexContext {
                 model: &self.model,

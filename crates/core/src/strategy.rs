@@ -37,13 +37,13 @@ pub struct PhaseContext {
     pub rules: VanishingRules,
     /// The modulus (in bits) of the run's zero test, when it has one (for a
     /// multiplier, `Some(2 * width)`). The indexed rewriter keeps every tail
-    /// canonical mod `2^k` except the sink outputs listed in
+    /// canonical mod `2^k` except the sinks listed in
     /// [`PhaseContext::sink_moduli`]; reduction strategies receive the same
     /// value explicitly. The session pipeline installs it from the
     /// instantiated spec, so callers constructing a context by hand can
     /// leave it `None`.
     pub modulus_bits: Option<u32>,
-    /// Narrower tail moduli of sink outputs, derived from the run's
+    /// Narrower tail moduli of sinks, derived from the run's
     /// specification by [`TailModuli::spec_weighted`] (the `sinks` half;
     /// `modulus_bits` is the default). Only valid for that specification;
     /// empty — every tail keeps `modulus_bits` — unless the session
@@ -91,7 +91,7 @@ impl PhaseContext {
     }
 
     /// The per-tail moduli of the indexed rewriter: `modulus_bits` by
-    /// default, [`PhaseContext::sink_moduli`] for sink outputs.
+    /// default, [`PhaseContext::sink_moduli`] for sinks.
     pub fn tail_moduli(&self) -> TailModuli {
         TailModuli {
             default: self.modulus_bits,
@@ -232,7 +232,7 @@ impl RewriteStrategy for LogicReductionRewrite {
 ///   the post-rewrite model of [`LogicReductionRewrite`] modulo coefficient
 ///   canonicalization (under uniform moduli);
 /// * canonical coefficients mod [`PhaseContext::tail_moduli`]: `2^k` for
-///   every tail but the sink outputs, whose tails only need the residue mod
+///   every tail but the sinks, whose tails only need the residue mod
 ///   `2^(k − e)` that their spec coefficients let through (see
 ///   [`TailModuli`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -312,13 +312,15 @@ pub enum Method {
     /// coefficients) and Step 3/4 through the single-threaded
     /// [`crate::IndexedReduction`] engine. Same post-rewrite models (modulo
     /// coefficient canonicalization), remainders and verdicts as MT-LR,
-    /// different per-step cost.
+    /// different per-step cost. Tries the final-stage-adder split first
+    /// (see [`Method::splits_final_adder`]).
     MtLrIdx,
     /// MT-LR with the indexed rewriter ([`IndexedLogicReductionRewrite`],
     /// shared with `MT-LR-IDX`) feeding the parallel output-cone reduction
     /// engine ([`crate::ParallelReduction`]): the Step-3 reduction is
     /// decomposed per (merged) output cone and run on a scoped worker pool
-    /// sized by [`crate::Budget::threads`].
+    /// sized by [`crate::Budget::threads`]. Tries the final-stage-adder
+    /// split first, like `MT-LR-IDX`.
     MtLrPar,
 }
 
@@ -361,6 +363,13 @@ impl Method {
             Method::MtLr => Box::new(LogicReductionRewrite),
             Method::MtLrIdx | Method::MtLrPar => Box::new(IndexedLogicReductionRewrite),
         }
+    }
+
+    /// Whether this preset tries the final-stage-adder split before Step 2
+    /// (see [`crate::adder_split`]): the indexed presets do, the paper's
+    /// MT, MT-FO, MT-XOR and MT-LR do not.
+    pub fn splits_final_adder(self) -> bool {
+        matches!(self, Method::MtLrIdx | Method::MtLrPar)
     }
 
     /// The Step-3/4 strategy this preset stands for.

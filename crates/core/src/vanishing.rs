@@ -244,8 +244,9 @@ pub struct ClosureVanishing {
 /// A [`ClosureVanishing`] index shared by the phases of one run: the first
 /// phase that asks builds it, every later phase asking for the same model
 /// structure and rules gets the same index. The index depends on the gate
-/// structure only, which rewriting never changes, so Step 2 and Step 3 can
-/// share it. Clones share the index.
+/// structure only, which rewriting and slicing never change, so the
+/// final-stage-adder slice check, Step 2 and Step 3 can share it. Clones
+/// share the index.
 #[derive(Debug, Clone, Default)]
 pub struct SharedClosure(Arc<OnceLock<(u64, VanishingRules, Arc<ClosureVanishing>)>>);
 

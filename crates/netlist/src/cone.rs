@@ -100,12 +100,34 @@ pub fn group_overlapping_cones(cones: &[Vec<u32>], merge_overlap: f64) -> Vec<Ve
 /// order prefers nets that only reach low output columns (their terms retire
 /// into the input-only accumulator sooner), and a column counts as *retired*
 /// once every tracked net carrying its bit has been substituted.
+///
+/// One reverse-topological OR pass: every net reads its final mask once all
+/// of its readers were visited, and ORs it into its driver's inputs, which
+/// is linear in the netlist's size instead of one fan-in walk per output. A
+/// cyclic netlist has no such order and falls back to the per-output walks.
 pub fn output_column_masks(netlist: &Netlist) -> Vec<u64> {
     let mut masks = vec![0u64; netlist.net_count()];
+    let Ok(order) = topological_order_or_cycle(netlist) else {
+        for (j, &(_, out)) in netlist.outputs().iter().enumerate() {
+            let bit = 1u64 << j.min(63);
+            for net in fanin_cone(netlist, &[out]) {
+                masks[net.0 as usize] |= bit;
+            }
+        }
+        return masks;
+    };
     for (j, &(_, out)) in netlist.outputs().iter().enumerate() {
-        let bit = 1u64 << j.min(63);
-        for net in fanin_cone(netlist, &[out]) {
-            masks[net.0 as usize] |= bit;
+        masks[out.0 as usize] |= 1u64 << j.min(63);
+    }
+    for &net in order.iter().rev() {
+        let mask = masks[net.0 as usize];
+        if mask == 0 {
+            continue;
+        }
+        if let Some(gate) = netlist.driver(net) {
+            for &inp in &gate.inputs {
+                masks[inp.0 as usize] |= mask;
+            }
         }
     }
     masks

@@ -194,8 +194,11 @@ fn fault_injected_variants_produce_identical_counterexamples() {
 /// workers (the scoped pool cannot return otherwise).
 #[test]
 fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
-    // SP-DT-HC at width 8 reduces for tens of seconds, so a cancel shortly
-    // after the start lands mid-reduction with certainty.
+    // SP-DT-HC at width 8 against the exact (not mod 2^16) product reduces
+    // for tens of seconds, so a cancel shortly after the start lands
+    // mid-reduction with certainty. The exact zero test keeps the
+    // final-stage-adder split off (mod 2^16 the split verifies it in
+    // milliseconds), so the reduction runs through the Han-Carlson adder.
     let netlist = MultiplierSpec::parse("SP-DT-HC", 8)
         .expect("architecture")
         .build();
@@ -209,7 +212,7 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
     };
     let report = Session::extract(&netlist)
         .expect("acyclic")
-        .spec(Spec::multiplier(8))
+        .spec(Spec::multiplier(8).with_modulus_bits(None))
         .strategy(Method::MtLrPar)
         .budget(Budget::default().with_threads(4))
         .cancel_token(token)
