@@ -215,13 +215,13 @@ pub fn run_algebraic(
 
 /// Runs the comparison portfolio of the paper's Table I/II rows — the SAT
 /// miter baseline (`CEC`), MT-FO, MT-LR, plus this repo's incremental
-/// indexed engine (`MT-LR-IDX`) and parallel output-cone engine
+/// indexed engine, single-threaded (`MT-LR-IDX`) and with sharded steps
 /// (`MT-LR-PAR`) — against one extracted model.
 ///
 /// Per-strategy elapsed times exclude the (shared, amortized) Step-1 model
 /// extraction; counterexample search is disabled so a `FAIL` cell stays
-/// cheap. The parallel engine's worker count follows `GBMV_THREADS` (else
-/// the machine's parallelism) via [`Budget::effective_threads`].
+/// cheap. MT-LR-PAR's shard count follows `GBMV_THREADS` (else the
+/// machine's parallelism) via [`Budget::effective_threads`].
 pub fn table_portfolio(arch: &str, width: usize, config: &HarnessConfig) -> PortfolioReport {
     let netlist = build_architecture(arch, width);
     Portfolio::extract(&netlist)
@@ -277,8 +277,8 @@ pub struct BenchRecord {
     /// The wall-clock budget the run was given, in milliseconds.
     pub timeout_ms: u128,
     /// Worker threads the strategy ran with (1 for the single-threaded
-    /// strategies; the resolved [`Budget::effective_threads`] for the
-    /// parallel engine).
+    /// strategies; the resolved [`Budget::effective_threads`] for
+    /// MT-LR-PAR).
     pub threads: usize,
     /// `"ok"`, `"TO"` or `"FAIL"`.
     pub status: String,
@@ -287,8 +287,8 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// Builds a record from one portfolio strategy run.
     pub fn from_run(arch: &str, width: usize, run: &StrategyRun, config: &HarnessConfig) -> Self {
-        // Only the parallel engine fans out; every other strategy runs its
-        // phases on one thread.
+        // Only MT-LR-PAR fans out; every other strategy runs its phases on
+        // one thread.
         let threads = if run.strategy == Method::MtLrPar.name() {
             config.budget().effective_threads()
         } else {

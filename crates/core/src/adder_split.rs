@@ -206,20 +206,9 @@ impl FinalStageAdder {
         if !outcome.is_completed() {
             return false;
         }
-        // The slice's free inputs are nets of the whole circuit, and the
-        // closure index knows what drives them: a remainder monomial over
-        // them can be zero on every consistent assignment (one holding a
-        // constant-zero row bit, say). Such monomials lie in the circuit's
-        // ideal; the reduction drops the ones it creates, but terms that
-        // never needed a substitution (the parallel engine's pure-input
-        // residual) still carry them, so the zero test drops them here.
-        let mut remainder = remainder.mod_coeffs_pow2(self.outputs.len() as u32);
-        let closure = slice_ctx.closure_index(&slice);
-        if closure.enabled() {
-            let mut scratch = closure.scratch();
-            remainder.retain_terms(|t| !closure.vanishes(t, &mut scratch));
-        }
-        remainder.is_zero()
+        remainder
+            .mod_coeffs_pow2(self.outputs.len() as u32)
+            .is_zero()
     }
 }
 

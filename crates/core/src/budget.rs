@@ -22,10 +22,11 @@ pub struct Budget {
     pub max_terms: usize,
     /// Wall-clock budget for the whole run; `None` means unlimited.
     pub deadline: Option<Duration>,
-    /// Worker threads available to parallel strategies
-    /// ([`crate::ParallelReduction`]); `0` means auto: the `GBMV_THREADS`
-    /// environment variable if set, otherwise the machine's available
-    /// parallelism. Single-threaded strategies ignore this knob.
+    /// Worker threads a large substitution step of
+    /// [`crate::Method::MtLrPar`]'s reduction is sharded over (an
+    /// [`crate::IndexedReduction`] with `threads: 0`); `0` means auto: the
+    /// `GBMV_THREADS` environment variable if set, otherwise the machine's
+    /// available parallelism. Single-threaded strategies ignore this knob.
     pub threads: usize,
 }
 
@@ -61,7 +62,7 @@ impl Budget {
         self
     }
 
-    /// Replaces the worker-thread count for parallel strategies (`0` = auto;
+    /// Replaces the worker-thread count for sharded strategies (`0` = auto;
     /// see [`Budget::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

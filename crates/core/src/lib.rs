@@ -31,15 +31,13 @@
 //! 3. **Gröbner basis reduction** ([`reduction`], pluggable via
 //!    [`ReductionStrategy`], Algorithm 1): the specification polynomial is
 //!    divided by the rewritten model; the circuit is correct iff the
-//!    remainder is zero (modulo `2^(2n)` for multipliers). Three engines are
-//!    provided: the scan-based reference [`GbReduction`], the incremental
-//!    indexed engine ([`IndexedReduction`], preset [`Method::MtLrIdx`]) whose
-//!    inverted var→term index makes each substitution step touch only the
-//!    affected terms, and the [`parallel`] output-cone engine
-//!    ([`ParallelReduction`], preset [`Method::MtLrPar`]), which decomposes
-//!    the same indexed reduction along merged output cones, runs it on a
-//!    scoped worker pool, and recombines the partial remainders
-//!    deterministically.
+//!    remainder is zero (modulo `2^(2n)` for multipliers). Two engines are
+//!    provided: the scan-based reference [`GbReduction`] and the incremental
+//!    indexed engine [`IndexedReduction`], whose inverted var→term index
+//!    makes each substitution step touch only the affected terms. The
+//!    indexed engine runs single-threaded as [`Method::MtLrIdx`] and, as
+//!    [`Method::MtLrPar`], shards the expansion of large substitution steps
+//!    over [`Budget::threads`] workers, with bit-identical results.
 //!
 //! Before Step 2 the indexed presets try the **final-stage-adder split**
 //! ([`adder_split`]): they detect the multiplier's final adder from the gate
@@ -83,7 +81,6 @@ pub mod adder_split;
 mod budget;
 mod counterexample;
 mod model;
-pub mod parallel;
 mod portfolio;
 pub mod reduction;
 pub mod rewrite;
@@ -96,7 +93,6 @@ pub use adder_split::{AdderSplitStats, FinalStageAdder};
 pub use budget::{Budget, DeadlineToken};
 pub use counterexample::{Counterexample, InputBit};
 pub use model::{AlgebraicModel, ExtractError, GateFunction};
-pub use parallel::ParallelReduction;
 pub use portfolio::{Portfolio, PortfolioReport, StrategyRun};
 pub use reduction::{GbReduction, IndexedReduction, ReductionOutcome, ReductionStats};
 pub use rewrite::{RewriteConfig, RewriteStats, RewriteVanishing, RewritingScheme, TailModuli};

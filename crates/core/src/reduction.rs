@@ -14,17 +14,19 @@
 //! exhausting memory.
 //!
 //! Two engines live here: the scan-based reference [`GbReduction`] (kept
-//! deliberately simple — it is the differential oracle the indexed engines
-//! are pinned against) and [`IndexedReduction`], the single-threaded preset
-//! of the incremental indexed engine shared with [`crate::parallel`].
+//! deliberately simple — it is the differential oracle the indexed engine is
+//! pinned against) and the incremental [`IndexedReduction`], which runs
+//! `MT-LR-IDX` on one thread and `MT-LR-PAR` with sharded substitution
+//! steps.
 
 use std::time::{Duration, Instant};
 
-use gbmv_poly::{FastMap, Polynomial, Var};
+use gbmv_poly::{FastMap, IndexedPolynomial, Int, Monomial, Polynomial, Var};
 
 use crate::budget::DeadlineToken;
 use crate::model::AlgebraicModel;
-use crate::vanishing::VanishingTracker;
+use crate::strategy::{PhaseContext, ReductionStrategy};
+use crate::vanishing::{ClosureVanishing, VanishScratch, VanishingTracker};
 
 /// Why a reduction run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,47 +340,54 @@ impl GbReduction {
     }
 }
 
-/// A [`crate::ReductionStrategy`] running the whole specification through
-/// the fused incremental engine of [`crate::parallel`] on a single worker:
-/// the working remainder lives in a [`gbmv_poly::IndexedPolynomial`] (inverted
-/// var→term index, canonical `mod 2^k` coefficients, retirement of
-/// fully-substituted terms) and vanishing is checked through the
-/// unit-propagation closure index ([`crate::ClosureVanishing`]).
+/// Shard the expansion of one substitution step across threads once it
+/// produces at least this many candidate product terms.
+const SHARD_MIN_PRODUCTS: usize = 16 * 1024;
+
+/// Poll the cancellation token every this many generated product terms, so
+/// even a single multi-second substitution step reacts to cancellation.
+const CANCEL_POLL_INTERVAL: usize = 64 * 1024;
+
+/// The incremental indexed reduction engine, a [`ReductionStrategy`] that
+/// divides the whole specification by the model in one run:
 ///
-/// The preset [`crate::Method::MtLrIdx`] pairs this engine with
-/// logic-reduction rewriting. The greedy candidate rule is the same as
-/// [`GbReduction`]'s, so for completed runs the remainder (and hence verdict
-/// and counterexample) is identical — the engines differ only in per-step
-/// cost. With [`IndexedReduction::column_order`] ties additionally break
-/// toward the lowest output column; the normal form is order-independent
-/// (the model is a Gröbner basis), so this changes intermediate sizes, never
-/// results.
-#[derive(Debug, Clone, Copy)]
+/// * the greedy level-restricted substitution order of [`GbReduction`],
+///   with ties broken toward the variable reaching the lowest output column
+///   so low columns lose their support (and retire their terms) early;
+/// * an [`IndexedPolynomial`] working remainder whose inverted var→term
+///   index makes each substitution step touch only the terms that mention
+///   the substituted variable;
+/// * canonical `mod 2^k` coefficients, so modular cancellation happens at
+///   insert instead of in a post-step sweep;
+/// * retirement of fully-substituted (input-only) terms into an inert
+///   accumulator outside the hot path;
+/// * vanishing checked on the ingested spec and on newly created monomials
+///   only, through the run's unit-propagation closure index
+///   ([`crate::ClosureVanishing`], when the run's rules enable it).
+///
+/// The candidate rule is [`GbReduction`]'s and the rewritten model stays a
+/// Gröbner basis, so the normal form is order-independent: a completed run
+/// gives the same remainder (and hence verdict and counterexample) as the
+/// scan engine; the engines differ only in per-step cost.
+///
+/// The presets differ only in [`IndexedReduction::threads`]:
+/// [`crate::Method::MtLrIdx`] runs on one thread, [`crate::Method::MtLrPar`]
+/// shards the expansion of every large substitution step over term ranges
+/// across [`crate::Budget::effective_threads`] scoped workers. Each worker
+/// expands its range into a private exact partial that is folded into the
+/// store afterwards; exact addition commutes with the canonical `mod 2^k`
+/// residue, so remainders, counters, verdicts and counterexamples are
+/// bit-identical for any thread count.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IndexedReduction {
-    /// Apply the structural vanishing rules (closure index) during the
-    /// reduction (required for the logic-reduction methods).
-    pub vanishing: bool,
-    /// Break greedy ties toward the variable reaching the lowest output
-    /// column so low columns retire early.
-    pub column_order: bool,
+    /// Threads a large substitution step is sharded over; `0` defers to
+    /// [`crate::Budget::effective_threads`].
+    pub threads: usize,
 }
 
-impl Default for IndexedReduction {
-    fn default() -> Self {
-        IndexedReduction {
-            vanishing: true,
-            column_order: true,
-        }
-    }
-}
-
-impl crate::strategy::ReductionStrategy for IndexedReduction {
+impl ReductionStrategy for IndexedReduction {
     fn name(&self) -> &str {
-        if self.vanishing {
-            "indexed+vanishing"
-        } else {
-            "indexed"
-        }
+        "indexed+vanishing"
     }
 
     fn reduce(
@@ -386,44 +395,298 @@ impl crate::strategy::ReductionStrategy for IndexedReduction {
         model: &AlgebraicModel,
         spec: &Polynomial,
         modulus_bits: Option<u32>,
-        ctx: &crate::strategy::PhaseContext,
+        ctx: &PhaseContext,
     ) -> (Polynomial, ReductionOutcome, ReductionStats) {
         let start = Instant::now();
-        let vanish = self
-            .vanishing
-            .then(|| ctx.closure_index(model))
-            .filter(|index| index.enabled());
-        let engine = crate::parallel::FusedReduction {
+        let closure = ctx.closure_index(model);
+        let engine = FusedReduction {
             model,
-            vanish: vanish.as_deref(),
+            vanish: closure.enabled().then_some(&*closure),
             modulus_bits,
             max_terms: ctx.budget.max_terms,
             token: &ctx.token,
-            shard_threads: 1,
-            column_order: self.column_order,
+            shard_threads: match self.threads {
+                0 => ctx.budget.effective_threads(),
+                n => n,
+            },
         };
         let (r, outcome, mut stats) = engine.reduce(spec);
-        // A mid-step token stop reports `Cancelled` even when the deadline
-        // (not an explicit cancel) fired; normalize like the session driver.
-        let outcome = if matches!(outcome, ReductionOutcome::Cancelled)
-            && !ctx.token.is_cancelled()
-            && ctx.token.deadline_expired()
-        {
-            ReductionOutcome::TimedOut
-        } else {
-            outcome
-        };
         stats.elapsed = start.elapsed();
         (r, outcome, stats)
+    }
+}
+
+/// One run of [`IndexedReduction`]: the borrowed model, closure index and
+/// limits of the phase.
+struct FusedReduction<'a> {
+    model: &'a AlgebraicModel,
+    vanish: Option<&'a ClosureVanishing>,
+    modulus_bits: Option<u32>,
+    max_terms: usize,
+    token: &'a DeadlineToken,
+    shard_threads: usize,
+}
+
+impl FusedReduction<'_> {
+    fn reduce(&self, spec: &Polynomial) -> (Polynomial, ReductionOutcome, ReductionStats) {
+        let model = self.model;
+        let mut stats = ReductionStats::default();
+        let mut scratch = self.vanish.map(ClosureVanishing::scratch);
+
+        // The vanishing rules are applied to the incoming spec once;
+        // afterwards only newly created monomials can vanish (the property is
+        // static per monomial), so surviving terms are never re-checked.
+        let mut initial = spec.clone();
+        if let (Some(van), Some(s)) = (self.vanish, scratch.as_mut()) {
+            stats.cancelled_vanishing += initial.retain_terms(|m| !van.vanishes(m, s)) as u64;
+        }
+
+        // The substitutable variables: everything with a model tail. Inputs
+        // and tail-less variables are never substituted, so terms made only
+        // of those retire out of the indexed hot path.
+        let tracked: Vec<bool> = (0..model.var_count())
+            .map(|i| {
+                let v = Var(i as u32);
+                !model.is_input(v) && model.tail(v).is_some()
+            })
+            .collect();
+
+        // Ingest into the indexed store: coefficients become canonical
+        // `mod 2^k` (multiples of `2^k` cancel at insert — the incremental
+        // form of the old post-step drop sweep), occurrence counts and the
+        // inverted index are maintained from here on by the store itself.
+        let mut r = IndexedPolynomial::from_polynomial(&initial, tracked, self.modulus_bits);
+        drop(initial);
+        stats.peak_terms = r.num_terms();
+
+        // Column retirement accounting: a column is "active" while some live
+        // term mentions a tracked variable reaching it, and "retires" when it
+        // loses its last such occurrence — from then on all of its terms are
+        // input-only and sit in the inert accumulator, outside the indexed
+        // hot path. The active mask is recomputed during the candidate scan
+        // (which already walks every occurrence count).
+        let mut active_cols = 0u64;
+        for (i, &occ) in r.occurrence_counts().iter().enumerate() {
+            if occ > 0 {
+                active_cols |= model.column_mask(Var(i as u32));
+            }
+        }
+        let mut retired_cols = 0u64;
+
+        let done = |r: IndexedPolynomial, outcome: ReductionOutcome, mut stats: ReductionStats| {
+            stats.index_hits = r.index_hits();
+            stats.final_terms = r.num_terms();
+            (r.into_polynomial(), outcome, stats)
+        };
+
+        loop {
+            // Candidate selection — the same rule as `GbReduction`: among the
+            // variables of the highest present logic level, the smallest
+            // estimated growth `occurrences x (tail size - 1)`, tie-broken by
+            // variable index. The column weight ranks before the growth
+            // estimate, so low columns retire early; any tie-break yields the
+            // same final remainder (the model is a Gröbner basis).
+            let mut best: Option<(usize, u32, usize, u32)> = None; // (level, colw, growth, idx)
+            let mut next_active = 0u64;
+            for (i, &occ) in r.occurrence_counts().iter().enumerate() {
+                if occ == 0 {
+                    continue;
+                }
+                let v = Var(i as u32);
+                let level = model.level(v);
+                let mask = model.column_mask(v);
+                next_active |= mask;
+                let colw = if mask != 0 {
+                    63 - mask.leading_zeros()
+                } else {
+                    0
+                };
+                let tail_terms = model.tail(v).map(Polynomial::num_terms).unwrap_or(0);
+                let growth = occ as usize * tail_terms.saturating_sub(1);
+                let replace = match best {
+                    None => true,
+                    Some((bl, bc, bg, bi)) => {
+                        level > bl || (level == bl && (colw, growth, v.0) < (bc, bg, bi))
+                    }
+                };
+                if replace {
+                    best = Some((level, colw, growth, v.0));
+                }
+            }
+            let newly_retired = active_cols & !next_active & !retired_cols;
+            stats.columns_retired += newly_retired.count_ones() as usize;
+            retired_cols |= newly_retired;
+            active_cols = next_active;
+            let v = match best {
+                Some((_, _, _, idx)) => Var(idx),
+                None => break,
+            };
+
+            // In-place substitution through the inverted index: only the
+            // terms actually containing `v` are touched.
+            let tail = model.tail(v).expect("candidate has a tail");
+            let extracted = r.extract_terms_containing(v);
+
+            let products = extracted.len() * tail.num_terms();
+            let cancelled = if self.shard_threads > 1 && products >= SHARD_MIN_PRODUCTS {
+                self.expand_sharded(&mut r, &extracted, tail, v)
+            } else {
+                self.expand_serial(&mut r, &extracted, tail, v, scratch.as_mut())
+            };
+            let cancelled = match cancelled {
+                Some(c) => c,
+                None => return done(r, self.token_stop(), stats),
+            };
+            stats.cancelled_vanishing += cancelled;
+            stats.substitutions += 1;
+
+            stats.peak_terms = stats.peak_terms.max(r.num_terms());
+            if r.num_terms() > self.max_terms {
+                let outcome = ReductionOutcome::LimitExceeded {
+                    terms: stats.peak_terms,
+                };
+                return done(r, outcome, stats);
+            }
+            if self.token.expired() {
+                return done(r, self.token_stop(), stats);
+            }
+        }
+        done(r, ReductionOutcome::Completed, stats)
+    }
+
+    /// Why an expired token stopped the run: an explicit cancel wins over
+    /// the deadline.
+    fn token_stop(&self) -> ReductionOutcome {
+        if self.token.is_cancelled() {
+            ReductionOutcome::Cancelled
+        } else {
+            ReductionOutcome::TimedOut
+        }
+    }
+
+    /// Expands `extracted x tail` into `r`, checking the vanishing rules on
+    /// each product before it is materialized (when the extracted term's
+    /// `rest` already vanishes on its own, the whole tail expansion is
+    /// skipped). Returns the number of cancelled (vanishing) products, or
+    /// `None` when the token fired mid-step.
+    fn expand_serial(
+        &self,
+        r: &mut IndexedPolynomial,
+        extracted: &[(Monomial, Int)],
+        tail: &Polynomial,
+        v: Var,
+        mut scratch: Option<&mut VanishScratch>,
+    ) -> Option<u64> {
+        let mut cancelled = 0u64;
+        let mut since_poll = 0usize;
+        for (m, c) in extracted {
+            let rest = m.without(v);
+            if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
+                if van.set_rest(&rest, s) {
+                    cancelled += tail.num_terms() as u64;
+                    continue;
+                }
+            }
+            for (tm, tc) in tail.iter() {
+                since_poll += 1;
+                if since_poll >= CANCEL_POLL_INTERVAL {
+                    since_poll = 0;
+                    if self.token.expired() {
+                        return None;
+                    }
+                }
+                if let (Some(van), Some(s)) = (self.vanish, scratch.as_deref_mut()) {
+                    if van.rest_union_vanishes(tm, s) {
+                        cancelled += 1;
+                        continue;
+                    }
+                }
+                r.add_term(tm.mul(&rest), tc * c);
+            }
+        }
+        Some(cancelled)
+    }
+
+    /// The sharded variant for large steps: the extracted terms are split
+    /// into ranges, each worker expands its range into a private exact
+    /// partial (with its own vanishing scratch), and the partials are folded
+    /// into `r` afterwards. Addition is exact and
+    /// commutative and the canonical `mod 2^k` residue of an exact sum
+    /// equals the residue of the canonical sum, so the resulting term table
+    /// (and hence the maintained occurrence counts) is bit-identical to the
+    /// serial expansion.
+    fn expand_sharded(
+        &self,
+        r: &mut IndexedPolynomial,
+        extracted: &[(Monomial, Int)],
+        tail: &Polynomial,
+        v: Var,
+    ) -> Option<u64> {
+        let shards = self.shard_threads.min(extracted.len()).max(1);
+        let chunk = extracted.len().div_ceil(shards);
+        let results: Vec<Option<(Polynomial, u64)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = extracted
+                .chunks(chunk)
+                .map(|range| {
+                    scope.spawn(move || {
+                        let mut scratch = self.vanish.map(ClosureVanishing::scratch);
+                        let mut local = Polynomial::zero();
+                        let mut cancelled = 0u64;
+                        let mut since_poll = 0usize;
+                        for (m, c) in range {
+                            let rest = m.without(v);
+                            if let (Some(van), Some(s)) = (self.vanish, scratch.as_mut()) {
+                                if van.set_rest(&rest, s) {
+                                    cancelled += tail.num_terms() as u64;
+                                    continue;
+                                }
+                            }
+                            for (tm, tc) in tail.iter() {
+                                since_poll += 1;
+                                if since_poll >= CANCEL_POLL_INTERVAL {
+                                    since_poll = 0;
+                                    if self.token.expired() {
+                                        return None;
+                                    }
+                                }
+                                if let (Some(van), Some(s)) = (self.vanish, scratch.as_mut()) {
+                                    if van.rest_union_vanishes(tm, s) {
+                                        cancelled += 1;
+                                        continue;
+                                    }
+                                }
+                                local.add_term(tm.mul(&rest), tc * c);
+                            }
+                        }
+                        Some((local, cancelled))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker"))
+                .collect()
+        });
+        let mut cancelled = 0u64;
+        for result in results {
+            let (local, local_cancelled) = result?;
+            cancelled += local_cancelled;
+            for (m, c) in local.iter() {
+                r.add_term(m.clone(), c.clone());
+            }
+        }
+        Some(cancelled)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::spec::Spec;
+    use gbmv_genmul::MultiplierSpec;
     use gbmv_netlist::Netlist;
     use gbmv_poly::spec::{adder_spec, full_adder_spec};
-    use gbmv_poly::{Int, Monomial};
 
     fn full_adder_netlist() -> Netlist {
         let mut nl = Netlist::new("fa");
@@ -571,5 +834,120 @@ mod tests {
         let (r, outcome, _) = GbReduction::default().reduce(&model, &spec);
         assert!(outcome.is_completed());
         assert!(r.is_zero());
+    }
+
+    fn context(budget: Budget) -> PhaseContext {
+        PhaseContext {
+            budget,
+            token: budget.token(),
+            ..PhaseContext::default()
+        }
+    }
+
+    fn model_and_spec(arch: &str, width: usize) -> (AlgebraicModel, Polynomial, Option<u32>) {
+        let nl = MultiplierSpec::parse(arch, width).unwrap().build();
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let (spec, modulus) = Spec::multiplier(width).instantiate(&model).unwrap();
+        (model, spec, modulus)
+    }
+
+    #[test]
+    fn matches_greedy_engine_remainder_mod_2k() {
+        let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
+        let k = modulus.unwrap();
+        let ctx = context(Budget::default());
+        let engine = ctx.reduction_engine(modulus);
+        let (greedy, outcome, _) = engine.reduce(&model, &spec);
+        assert!(outcome.is_completed());
+        for threads in [1, 2, 8] {
+            let idx = IndexedReduction { threads };
+            let (r, outcome, stats) = idx.reduce(&model, &spec, modulus, &ctx);
+            assert!(outcome.is_completed(), "{threads} threads: {outcome:?}");
+            assert_eq!(
+                r.mod_coeffs_pow2(k),
+                greedy.mod_coeffs_pow2(k),
+                "{threads} threads must reproduce the greedy remainder"
+            );
+            assert!(stats.substitutions > 0);
+            assert!(stats.index_hits > 0, "indexed extraction must be exercised");
+        }
+    }
+
+    #[test]
+    fn occurrence_counts_survive_a_full_reduction() {
+        // A correct multiplier reduces to a zero remainder, which exercises
+        // every incremental count-update path (insert, cancel, mod-drop,
+        // vanishing skip) and ends with all counts back at zero — the loop
+        // only terminates when no tracked variable is left.
+        let (model, spec, modulus) = model_and_spec("SP-CT-BK", 4);
+        let ctx = context(Budget::default());
+        let idx = IndexedReduction::default();
+        let (r, outcome, stats) = idx.reduce(&model, &spec, modulus, &ctx);
+        assert!(outcome.is_completed());
+        assert!(r.is_zero(), "correct multiplier must verify");
+        assert!(stats.cancelled_vanishing > 0);
+        assert!(
+            stats.columns_retired > 0,
+            "a completed reduction substitutes every column's support"
+        );
+    }
+
+    #[test]
+    fn term_limit_is_reported() {
+        let (model, spec, modulus) = model_and_spec("SP-WT-KS", 6);
+        let ctx = context(Budget::default().with_max_terms(50));
+        let idx = IndexedReduction::default();
+        let (_, outcome, stats) = idx.reduce(&model, &spec, modulus, &ctx);
+        assert!(matches!(outcome, ReductionOutcome::LimitExceeded { .. }));
+        assert!(stats.peak_terms > 50);
+    }
+
+    #[test]
+    fn cancelled_token_stops_the_engine() {
+        let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
+        let budget = Budget::default();
+        let token = DeadlineToken::new();
+        token.cancel();
+        let ctx = PhaseContext {
+            budget,
+            token,
+            ..PhaseContext::default()
+        };
+        let idx = IndexedReduction::default();
+        let (_, outcome, _) = idx.reduce(&model, &spec, modulus, &ctx);
+        assert_eq!(outcome, ReductionOutcome::Cancelled);
+    }
+
+    #[test]
+    fn expired_deadline_stops_as_timed_out() {
+        let (model, spec, modulus) = model_and_spec("SP-WT-CL", 4);
+        let ctx = PhaseContext {
+            token: DeadlineToken::with_deadline(Duration::ZERO),
+            ..PhaseContext::default()
+        };
+        for threads in [1, 2] {
+            let (_, outcome, _) = IndexedReduction { threads }.reduce(&model, &spec, modulus, &ctx);
+            assert_eq!(outcome, ReductionOutcome::TimedOut, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn adder_exact_remainder_matches_greedy() {
+        // No modulus: coefficients stay exact, so the remainder must equal
+        // the greedy engine's bit for bit, sharded or not.
+        let nl = gbmv_genmul::build_adder(6, gbmv_genmul::AdderKind::KoggeStone, false);
+        let model = AlgebraicModel::from_netlist(&nl).unwrap();
+        let (spec, modulus) = Spec::adder(6).instantiate(&model).unwrap();
+        assert_eq!(modulus, None);
+        let ctx = context(Budget::default());
+        let (greedy, outcome, _) =
+            GbReduction::new(10_000_000, std::time::Duration::MAX).reduce(&model, &spec);
+        assert!(outcome.is_completed());
+        for threads in [1, 4] {
+            let idx = IndexedReduction { threads };
+            let (r, outcome, _) = idx.reduce(&model, &spec, None, &ctx);
+            assert!(outcome.is_completed());
+            assert_eq!(r, greedy);
+        }
     }
 }

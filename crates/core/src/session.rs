@@ -446,7 +446,7 @@ pub(crate) fn run_pipeline(
     // Canonicalize the remainder modulo 2^k (not just drop zero terms): the
     // fully reduced remainder is the unique multilinear normal form of the
     // spec over the primary inputs, but engines that drop 2^k-multiples at
-    // different moments (whole-spec vs. per-cone reduction) can end with
+    // different moments (after each step vs. at insert) can end with
     // coefficients differing by multiples of 2^k. Reducing every coefficient
     // into [0, 2^k) makes the reported remainder — and therefore the
     // counterexample search — bit-identical across reduction strategies.

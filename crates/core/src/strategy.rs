@@ -6,8 +6,8 @@
 //! and [`ReductionStrategy`] traits; the schemes evaluated by the paper
 //! (MT, MT-FO, MT-XOR, MT-LR) are provided implementations, and [`Method`]
 //! is a thin preset constructor over them. New engines — column-wise spec
-//! reduction, alternative substitution orders, parallel output cones — plug
-//! in as further implementations without touching the session driver.
+//! reduction, alternative substitution orders — plug in as further
+//! implementations without touching the session driver.
 
 use std::time::Duration;
 
@@ -15,7 +15,7 @@ use gbmv_poly::Polynomial;
 
 use crate::budget::{Budget, DeadlineToken};
 use crate::model::AlgebraicModel;
-use crate::reduction::{GbReduction, ReductionOutcome, ReductionStats};
+use crate::reduction::{GbReduction, IndexedReduction, ReductionOutcome, ReductionStats};
 use crate::rewrite::{
     fanout_rewriting, indexed_logic_reduction_rewriting_with, logic_reduction_rewriting,
     xor_rewriting, RewriteConfig, RewriteStats, TailModuli,
@@ -309,24 +309,23 @@ pub enum Method {
     /// MT-LR with both phases on the incremental indexed term store: Step 2
     /// through [`IndexedLogicReductionRewrite`] (in-place extraction,
     /// closure vanishing during substitution, canonical mod-`2^k`
-    /// coefficients) and Step 3/4 through the single-threaded
-    /// [`crate::IndexedReduction`] engine. Same post-rewrite models (modulo
-    /// coefficient canonicalization), remainders and verdicts as MT-LR,
-    /// different per-step cost. Tries the final-stage-adder split first
-    /// (see [`Method::splits_final_adder`]).
+    /// coefficients) and Step 3/4 through [`IndexedReduction`] on one
+    /// thread. Same post-rewrite models (modulo coefficient
+    /// canonicalization), remainders and verdicts as MT-LR, different
+    /// per-step cost. Tries the final-stage-adder split first (see
+    /// [`Method::splits_final_adder`]).
     MtLrIdx,
-    /// MT-LR with the indexed rewriter ([`IndexedLogicReductionRewrite`],
-    /// shared with `MT-LR-IDX`) feeding the parallel output-cone reduction
-    /// engine ([`crate::ParallelReduction`]): the Step-3 reduction is
-    /// decomposed per (merged) output cone and run on a scoped worker pool
-    /// sized by [`crate::Budget::threads`]. Tries the final-stage-adder
-    /// split first, like `MT-LR-IDX`.
+    /// `MT-LR-IDX` with the expansion of every large Step-3 substitution
+    /// step sharded over term ranges across [`crate::Budget::threads`]
+    /// workers ([`IndexedReduction`] with `threads: 0`). Verdicts,
+    /// remainders, counterexamples and counters are bit-identical to
+    /// `MT-LR-IDX` for any thread count.
     MtLrPar,
 }
 
 impl Method {
     /// All methods: the paper's four in table order, then this repo's
-    /// indexed and parallel MT-LR variants.
+    /// indexed MT-LR variants (single-threaded and sharded).
     pub fn all() -> [Method; 6] {
         [
             Method::MtNaive,
@@ -339,7 +338,8 @@ impl Method {
     }
 
     /// Short display name matching the paper (`MT-LR-IDX`/`MT-LR-PAR` for
-    /// the indexed and parallel engines, which the paper does not have).
+    /// the single-threaded and sharded indexed engine, which the paper does
+    /// not have).
     pub fn name(self) -> &'static str {
         match self {
             Method::MtNaive => "MT",
@@ -353,8 +353,8 @@ impl Method {
 
     /// The Step-2 strategy this preset stands for. `MT-LR` keeps the
     /// scan-based rewriter (it doubles as the differential oracle of the
-    /// rewrite-equivalence harness); the indexed and parallel presets run
-    /// Step 2 on the indexed store.
+    /// rewrite-equivalence harness); the indexed presets run Step 2 on the
+    /// indexed store.
     pub fn rewrite_strategy(self) -> Box<dyn RewriteStrategy> {
         match self {
             Method::MtNaive => Box::new(NoRewrite),
@@ -377,8 +377,8 @@ impl Method {
         match self {
             Method::MtNaive | Method::MtFo => Box::new(GreedyReduction { vanishing: false }),
             Method::MtXorOnly | Method::MtLr => Box::new(GreedyReduction { vanishing: true }),
-            Method::MtLrIdx => Box::new(crate::reduction::IndexedReduction::default()),
-            Method::MtLrPar => Box::new(crate::parallel::ParallelReduction::default()),
+            Method::MtLrIdx => Box::new(IndexedReduction { threads: 1 }),
+            Method::MtLrPar => Box::new(IndexedReduction { threads: 0 }),
         }
     }
 }
@@ -425,7 +425,7 @@ mod tests {
         );
         assert_eq!(
             Method::MtLrPar.reduction_strategy().name(),
-            "parallel-cones+vanishing"
+            "indexed+vanishing"
         );
     }
 }

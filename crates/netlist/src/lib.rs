@@ -47,7 +47,6 @@ mod gate;
 mod netlist;
 pub mod sim;
 
-pub use cone::{ConeDecomposition, OutputCone};
 pub use fault::{Fault, FaultKind};
 pub use format::{parse_netlist, write_netlist, ParseNetlistError};
 pub use gate::{Gate, GateKind};

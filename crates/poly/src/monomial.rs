@@ -27,7 +27,7 @@ impl fmt::Display for Var {
 /// Number of variables a [`Monomial`] stores inline before spilling to the
 /// heap. Reduction intermediates of the width-8 benchmarks reach degree
 /// ~2·width, so the capacity covers them: the expansion inner loop of the
-/// (parallel) reduction engines creates tens of millions of product
+/// indexed reduction engine creates tens of millions of product
 /// monomials per run, and spilling them would cost a heap allocation and a
 /// pointer chase per hash-map equality check each.
 pub const INLINE_VARS: usize = 16;

@@ -159,7 +159,7 @@ impl Polynomial {
     /// stored monomials through `observe`, which receives the affected
     /// monomial *by reference* (no clone) together with what happened to it.
     /// Callers that maintain side indices over the terms (e.g. the
-    /// per-variable occurrence counts of the parallel reduction engine) use
+    /// per-variable occurrence counts of an incremental reduction engine) use
     /// the callback to update them incrementally instead of rescanning;
     /// `observe` is not called when only a coefficient changed.
     pub fn add_term_observed(

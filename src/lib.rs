@@ -17,12 +17,11 @@
 //!   checking (the baseline the paper compares against).
 //! * [`core`] — the membership-testing verifier: the [`core::Session`] API
 //!   with typed [`core::Spec`]s, pluggable rewrite/reduction strategies
-//!   ([`core::Method`] presets MT, MT-FO, MT-XOR, MT-LR, and the parallel
-//!   output-cone engine MT-LR-PAR), budgets with cooperative cancellation
-//!   and a worker-thread knob, and the [`core::Portfolio`] driver that races
-//!   several strategies (including the SAT baseline) against one extracted
-//!   model. [`netlist::cone`] holds the output-cone decomposition the
-//!   parallel engine schedules by.
+//!   ([`core::Method`] presets MT, MT-FO, MT-XOR, MT-LR, and the indexed
+//!   engine's MT-LR-IDX and sharded MT-LR-PAR), budgets with cooperative
+//!   cancellation and a worker-thread knob, and the [`core::Portfolio`]
+//!   driver that races several strategies (including the SAT baseline)
+//!   against one extracted model.
 //!
 //! The most common entry points are re-exported at the crate root.
 //!
@@ -68,6 +67,5 @@ pub use gbmv_poly as poly;
 pub use gbmv_sat as sat;
 
 pub use gbmv_core::{
-    Budget, Counterexample, DeadlineToken, Method, Outcome, ParallelReduction, Portfolio, Report,
-    Session, Spec,
+    Budget, Counterexample, DeadlineToken, Method, Outcome, Portfolio, Report, Session, Spec,
 };

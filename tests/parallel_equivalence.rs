@@ -1,9 +1,10 @@
-//! Differential property tests of the indexed reduction engines: for every
+//! Differential property tests of the indexed reduction engine: for every
 //! genmul architecture at widths 4–6 and for fault-injected variants, the
 //! `Outcome` (verdict and counterexample operand words) of the incremental
-//! indexed engine (`MT-LR-IDX`) and of the parallel output-cone engine
-//! (`MT-LR-PAR`, for threads ∈ {1, 2, 8}) must be identical to the
-//! scan-based reference MT-LR.
+//! indexed engine, single-threaded (`MT-LR-IDX`) and with sharded steps
+//! (`MT-LR-PAR`, for threads ∈ {1, 2, 8}), must be identical to the
+//! scan-based reference MT-LR. `MT-LR-PAR` must also report the same
+//! reduction counters and final-stage-adder split as `MT-LR-IDX`.
 //!
 //! The comparison is exact: `run_pipeline` canonicalizes remainders modulo
 //! `2^(2n)`, and the fully reduced remainder is the unique multilinear normal
@@ -92,9 +93,40 @@ fn assert_outcome_matches(netlist: &Netlist, reference: &Report, candidate: &Rep
     }
 }
 
-/// Asserts that the incremental indexed engine (once — it is single-threaded)
-/// and the parallel engine (for every thread count in the sweep) reproduce
-/// the reference outcome exactly.
+/// The deterministic work counters of a run: the reduction's
+/// `(substitutions, peak_terms, final_terms, cancelled_vanishing,
+/// index_hits, columns_retired)` and the adder split's `(region_gates,
+/// boundary_width, check_peak_terms, applied)` — everything but wall time.
+type Counters = (
+    (usize, usize, usize, u64, u64, usize),
+    (usize, usize, usize, bool),
+);
+
+fn counters(report: &Report) -> Counters {
+    let r = &report.stats.reduction;
+    let s = &report.stats.adder_split;
+    (
+        (
+            r.substitutions,
+            r.peak_terms,
+            r.final_terms,
+            r.cancelled_vanishing,
+            r.index_hits,
+            r.columns_retired,
+        ),
+        (
+            s.region_gates,
+            s.boundary_width,
+            s.check_peak_terms,
+            s.applied,
+        ),
+    )
+}
+
+/// Asserts that the indexed engine, single-threaded (`MT-LR-IDX`) and
+/// sharded (`MT-LR-PAR` at every thread count in the sweep), reproduces the
+/// reference outcome exactly, and that every `MT-LR-PAR` run reports
+/// `MT-LR-IDX`'s counters.
 fn assert_parallel_matches(netlist: &Netlist, width: usize, reference: &Report, budget: Budget) {
     let idx = run(netlist, width, Method::MtLrIdx, budget);
     assert_outcome_matches(netlist, reference, &idx, "MT-LR-IDX");
@@ -105,11 +137,13 @@ fn assert_parallel_matches(netlist: &Netlist, width: usize, reference: &Report, 
             Method::MtLrPar,
             budget.with_threads(threads),
         );
-        assert_outcome_matches(
-            netlist,
-            reference,
-            &par,
-            &format!("MT-LR-PAR, {threads} threads"),
+        let label = format!("MT-LR-PAR, {threads} threads");
+        assert_outcome_matches(netlist, reference, &par, &label);
+        assert_eq!(
+            counters(&par),
+            counters(&idx),
+            "{}: {label} counters must equal MT-LR-IDX's",
+            netlist.name()
         );
     }
 }
@@ -160,7 +194,7 @@ fn paper_architectures_widths_5_6_match_mt_lr() {
 
 /// Fault-injected variants: the mismatch verdict and the grounded
 /// counterexample (operand words, circuit word, expected word) are identical
-/// between MT-LR and the parallel engine at every thread count.
+/// between MT-LR and the indexed engine at every thread count.
 #[test]
 fn fault_injected_variants_produce_identical_counterexamples() {
     let width = 4;
@@ -191,7 +225,8 @@ fn fault_injected_variants_produce_identical_counterexamples() {
 
 /// A mid-reduction cancel through the shared `DeadlineToken` yields
 /// `Outcome::Cancelled` — not `ResourceLimit` — and the engine joins all its
-/// workers (the scoped pool cannot return otherwise).
+/// workers (sharded steps run on scoped threads, so it cannot return
+/// otherwise).
 #[test]
 fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
     // SP-DT-HC at width 8 against the exact (not mod 2^16) product reduces
@@ -235,9 +270,8 @@ fn mid_reduction_cancel_returns_cancelled_and_joins_workers() {
 }
 
 /// A cyclic netlist still surfaces `ExtractError` on the parallel path:
-/// extraction fails before any cone decomposition runs, exactly as for the
-/// single-threaded strategies (and `gbmv::netlist::cone::decompose_output_cones`
-/// reports the stuck nets when called directly).
+/// extraction fails before any reduction runs, exactly as for the
+/// single-threaded strategies.
 #[test]
 fn cyclic_netlist_surfaces_extract_error_on_parallel_path() {
     use gbmv::netlist::GateKind;
@@ -250,15 +284,12 @@ fn cyclic_netlist_surfaces_extract_error_on_parallel_path() {
     nl.add_output("y", y);
     let gbmv::core::ExtractError::CombinationalCycle { nets } = Session::extract(&nl).unwrap_err();
     assert!(nets.contains(&"x".to_string()) && nets.contains(&"y".to_string()));
-    let stuck = gbmv::netlist::cone::decompose_output_cones(&nl, 0.5).unwrap_err();
-    assert!(!stuck.is_empty());
 }
 
-/// Genuinely disjoint output cones are verified as independent parallel jobs
-/// (two side-by-side units under one custom specification), with identical
-/// results at every thread count.
+/// A custom specification over two side-by-side units with disjoint output
+/// cones verifies on `MT-LR-PAR` at every thread count.
 #[test]
-fn disjoint_cones_verify_in_parallel_jobs() {
+fn custom_spec_on_independent_units_verifies_at_every_thread_count() {
     use gbmv::poly::{Int, Monomial, Polynomial, Var};
     // Two independent blocks: x = a ^ b (tail a + b - 2ab), y = c & d.
     let mut nl = Netlist::new("two_units");

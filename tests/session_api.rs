@@ -136,7 +136,7 @@ fn portfolio_reproduces_table1_mtlr_vs_sat_at_width_4() {
         );
         assert_eq!(
             mtlr.outcome, mtlr_par.outcome,
-            "{arch}: the parallel engine must agree with MT-LR"
+            "{arch}: MT-LR-PAR must agree with MT-LR"
         );
         assert_eq!(
             cec.outcome.is_verified(),
